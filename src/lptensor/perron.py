@@ -4,20 +4,19 @@ A cubical tensor is reducible when some nonempty proper index subset S
 has ``a[j1, j2, ..., jk] = 0`` for every j1 outside S and all other
 indices inside S; irreducible means no such subset exists (any tensor
 with all entries positive is irreducible).  For nonnegative irreducible
-input the mode-0 l^k eigenproblem has a positive eigenvalue with a
-nonnegative eigenvector, and for any positive x the ratios
+input the mode-0 l^k eigenproblem has a positive eigenvector, unique up
+to scale (Chang, Pearson & Zhang 2008), and for any positive x the ratios
 
     [A(I, x, ..., x)]_i / x_i^(k-1)
 
-bracket that eigenvalue between their minimum and maximum (the
-Collatz-Wielandt bounds).  The solver is a power-type iteration on those
-ratios; uniqueness and strict positivity of the limit are probed by
-restarts and reported through warnings, not certified.
+bracket its eigenvalue between their minimum and maximum (the
+Collatz-Wielandt bounds).  The solver is one power-type iteration on those
+ratios; restarts probe uniqueness only for input forced past the
+reducibility check, where the theorem does not apply.
 """
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .errors import (
     DomainError,
     PositivityWarning,
     ReducibleError,
-    SizeLimitError,
     UniquenessWarning,
     ZeroTensorError,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "solve_perron",
 ]
 
-_SUBSET_LIMIT = 24
 _STAGNATION_WINDOW = 50
 _STAGNATION_FACTOR = 0.999
 
@@ -75,27 +72,31 @@ def is_nonnegative(A):
 def find_reducing_set(A):
     """Smallest (then lexicographically first) reducing subset, or None.
 
-    Enumerates all 2^n - 2 nonempty proper subsets of the index set, so n
-    is capped at 24; desk-scale tensors are far below that.  A None
-    return means the tensor is irreducible.  Indices are zero-based.
+    S reduces A iff F(S) lies in S, where F(S) holds the rows i with
+    ``a[i, j2, ..., jk] != 0`` for some j2, ..., jk in S.  F is monotone,
+    so the smallest reducing sets are the smallest proper closures cl(j),
+    the fixpoints of S <- S | F(S) from {j}.  A round reads only the index
+    tuples that gained a coordinate, so this costs O(n^2 * n^(k-1)).
+    Returns a tuple of zero-based ints; None means irreducible.
     """
     if not A.is_cubical():
         raise DimensionError(f"reducibility needs a cubical tensor, got dims {A.dims}")
-    n = A.dims[0]
-    if n > _SUBSET_LIMIT:
-        raise SizeLimitError(
-            f"subset enumeration is capped at n = {_SUBSET_LIMIT}, got n = {n}"
-        )
-    arr = A.array
-    k = A.order
-    indices = range(n)
-    for size in range(1, n):
-        for subset in combinations(indices, size):
-            outside = tuple(i for i in indices if i not in subset)
-            block = arr[np.ix_(outside, *([subset] * (k - 1)))]
-            if not block.any():
-                return subset
-    return None
+    n, k = A.dims[0], A.order
+    nonzero, trailing = A.array != 0, tuple(range(1, k))
+    closures = []
+    for j in range(n):
+        old, new = np.empty(0, dtype=np.intp), np.array([j])
+        while new.size and old.size + new.size < n:
+            inside = np.concatenate([old, new])
+            rows = np.zeros(n, dtype=bool)
+            for p in range(k - 1):  # tuples whose first coordinate from `new` is at p
+                axes = [old] * p + [new] + [inside] * (k - 2 - p)
+                rows |= nonzero[(slice(None),) + np.ix_(*axes)].any(axis=trailing)
+            rows[inside] = False
+            old, new = inside, np.flatnonzero(rows)
+        if not new.size:  # otherwise cl(j) is the whole index set
+            closures.append(tuple(int(i) for i in np.sort(old)))
+    return min(closures, key=lambda s: (len(s), s), default=None)
 
 
 def collatz_wielandt(A, x):
@@ -141,7 +142,7 @@ def _power_run(A, x0, config, collect_trace=False):
             if trace is not None:
                 trace.append((lower, upper))
             gap = upper - lower
-            if gap <= config.tol * max(1.0, lower):
+            if gap <= config.tol * lower:
                 converged = True
                 break
             gaps.append(gap)
@@ -186,16 +187,17 @@ def solve_perron(A, config=None, force=False, collect_trace=False):
 
     :param A: nonnegative DenseTensor; must be irreducible unless
         ``force=True`` overrides the check.
-    :param config: SolverConfig.  ``config.restarts - 1`` extra runs from
-        random positive starts probe uniqueness of the eigenpair; the
-        reported result always comes from the deterministic uniform start.
-    :param force: skip the reducibility precondition.
+    :param config: SolverConfig; ``tol`` bounds the bracket gap relative
+        to the lower bound.  The result is one power run from the uniform
+        start, the unique positive eigenpair for irreducible A.
+    :param force: skip the reducibility precondition; ``config.restarts -
+        1`` extra runs from random positive starts then probe uniqueness.
     :param collect_trace: record the Collatz-Wielandt bounds per iteration.
     :returns: PerronResult; ``converged`` reflects the relative bound gap.
 
     Warns with PositivityWarning when the converged vector has entries
-    below 1e-12, and with UniquenessWarning when a restart converges to a
-    visibly different nonnegative eigenpair.
+    below 1e-12, and with UniquenessWarning when a forced restart
+    converges to a visibly different nonnegative eigenpair.
     """
     config = config or SolverConfig()
     if not is_nonnegative(A):
@@ -222,15 +224,12 @@ def solve_perron(A, config=None, force=False, collect_trace=False):
             PositivityWarning,
             stacklevel=2,
         )
-    if result.converged and config.restarts > 1:
+    if force and result.converged:
         for r in range(1, config.restarts):
-            rng = restart_rng(config, r)
-            start = rng.uniform(0.1, 1.0, size=n)
+            start = restart_rng(config, r).uniform(0.1, 1.0, size=n)
             other = _power_run(A, start, config)
-            if not other.converged:
-                continue
-            if (
-                abs(other.lam - result.lam) > 1e-6 * max(1.0, abs(result.lam))
+            if other.converged and (
+                abs(other.lam - result.lam) > 1e-6 * result.lam
                 or np.max(np.abs(other.vector - result.vector)) > 1e-6
             ):
                 warnings.warn(

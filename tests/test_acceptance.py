@@ -277,7 +277,7 @@ def test_criterion_11_irreducibility_against_exhaustive_checker():
         agreements += 1
         positive = DenseTensor.from_array(rng.uniform(0.01, 1.0, (n,) * k))
         assert find_reducing_set(positive) is None
-    _ok(11, f"subset search agrees with the exhaustive checker on {agreements} tensors")
+    _ok(11, f"least closed sets agree with the exhaustive checker on {agreements} tensors")
 
 
 def test_criterion_12_symmetry_collapses_modes():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from lptensor.cli import main
@@ -140,6 +141,18 @@ class TestCheck:
         assert entry["nonnegative"] is True
         assert entry["reducing_set"] == [1]
         assert entry["irreducible"] is False
+
+    def test_planted_set_at_n20(self, tmp_path, capsys):
+        n, planted = 20, [3, 11, 17]
+        arr = np.random.default_rng(7).uniform(0.1, 1.0, (n, n, n))
+        outside = np.setdiff1d(np.arange(n), planted)
+        arr[np.ix_(outside, planted, planted)] = 0.0
+        path = write_tensor(tmp_path / "planted.json", [n, n, n], arr.ravel().tolist())
+        assert main(["check", path]) == 0
+        entry = json.loads(capsys.readouterr().out)["results"][0]
+        assert entry["reducing_set"] == [4, 12, 18]
+        assert entry["irreducible"] is False
+        assert main(["perron", path]) == 4
 
     def test_non_cubical(self, tmp_path, capsys):
         path = write_tensor(tmp_path / "r.json", [2, 3], [1.0] * 6)

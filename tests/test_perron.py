@@ -15,11 +15,11 @@ from lptensor import (
     multilinear_transform,
     solve_perron,
 )
+from lptensor import perron as perron_module
 from lptensor.errors import (
     DomainError,
     PositivityWarning,
     ReducibleError,
-    SizeLimitError,
     UniquenessWarning,
 )
 
@@ -44,6 +44,21 @@ def brute_force_reducing_sets(A):
             if ok:
                 found.append(subset)
     return found
+
+
+def shuffled_blocks(rng, n, k):
+    """Block-diagonal tensor on a shuffled index set.
+
+    Two blocks share one size, so whenever both stay closed the smallest
+    reducing sets tie and the lexicographic rule decides.
+    """
+    perm = rng.permutation(n)
+    size = int(rng.integers(1, n // 2 + 1))
+    arr = np.zeros((n,) * k)
+    for block in (perm[:size], perm[size : 2 * size], perm[2 * size :]):
+        shape = (block.size,) * k
+        arr[np.ix_(*[block] * k)] = rng.random(shape) * (rng.random(shape) < 0.7)
+    return arr
 
 
 def diagonal_tensor(a, b):
@@ -76,24 +91,38 @@ class TestReducibility:
         assert find_reducing_set(diagonal_tensor(1.0, 2.0)) == (0,)
 
     def test_agrees_with_exhaustive_checker(self):
+        # orders 2-4, n up to 7; even trials are shuffled block tensors,
+        # odd ones random sparse tensors
         rng = np.random.default_rng(81)
-        for trial in range(40):
-            n = int(rng.integers(3, 5))
-            k = int(rng.integers(3, 5))
-            arr = rng.random((n,) * k) * (rng.random((n,) * k) < 0.3)
+        ties = 0
+        for trial in range(150):
+            k = 2 + trial % 3
+            n = int(rng.integers(2, 8))
+            if trial % 2:
+                mask = rng.random((n,) * k) < rng.uniform(0.05, 0.5)
+                arr = rng.random((n,) * k) * mask
+            else:
+                arr = shuffled_blocks(rng, n, k)
             t = DenseTensor.from_array(arr)
             expected = brute_force_reducing_sets(t)
             got = find_reducing_set(t)
             if expected:
+                ties += sum(len(s) == len(expected[0]) for s in expected) > 1
                 assert got == expected[0]
+                assert type(got) is tuple and all(type(i) is int for i in got)
             else:
                 assert got is None
+        assert ties >= 50
 
-    def test_size_cap(self):
-        n = 25
-        t = DenseTensor.from_array(np.ones((n, n)))
-        with pytest.raises(SizeLimitError):
-            find_reducing_set(t)
+    def test_large_all_ones_matrix_is_irreducible(self):
+        assert find_reducing_set(DenseTensor.from_array(np.ones((25, 25)))) is None
+
+    def test_planted_set_at_n30(self):
+        # positive outside the zeroed block, so the planted set is the only one
+        n, planted = 30, [2, 9, 17, 28]
+        arr = np.random.default_rng(87).uniform(0.1, 1.0, (n, n, n))
+        arr[np.ix_(np.setdiff1d(np.arange(n), planted), planted, planted)] = 0.0
+        assert find_reducing_set(DenseTensor.from_array(arr)) == (2, 9, 17, 28)
 
 
 class TestCollatzWielandt:
@@ -228,8 +257,56 @@ class TestSolve:
             result = solve_perron(t, SolverConfig(max_iter=2000, restarts=2))
         assert result.converged
 
+    def test_tiny_and_huge_scales_match_scale_one(self):
+        # the stop test is relative to the lower bound, so lambda / c and
+        # the vector do not depend on the scale c, also below lambda = 1
+        rng = np.random.default_rng(88)
+        base = rng.uniform(0.1, 1.0, (5, 5, 5))
+        ref = solve_perron(DenseTensor.from_array(base))
+        for c in (1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e8):
+            out = solve_perron(DenseTensor.from_array(c * base))
+            assert out.converged
+            assert out.upper - out.lower <= 1e-10 * out.lower
+            assert abs(out.lam / c - ref.lam) <= 1e-12 * ref.lam
+            np.testing.assert_allclose(out.vector, ref.vector, rtol=0, atol=1e-13)
+
     def test_uniqueness_warning_on_forced_degenerate_input(self):
         # for the forced diagonal tensor with equal weights every positive
         # unit vector is an eigenvector, so restarts must disagree
         with pytest.warns(UniquenessWarning):
             solve_perron(diagonal_tensor(1.0, 1.0), SolverConfig(restarts=4), force=True)
+
+
+class TestPowerRuns:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        original = perron_module._power_run
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(perron_module, "_power_run", counting)
+        return calls
+
+    @pytest.fixture
+    def positive(self):
+        rng = np.random.default_rng(89)
+        return DenseTensor.from_array(rng.uniform(0.1, 1.0, (4, 4, 4)))
+
+    def test_one_run_on_irreducible_input(self, runs, positive):
+        solve_perron(positive, SolverConfig(restarts=8))
+        assert len(runs) == 1
+
+    def test_restarts_probe_only_under_force(self, runs, positive):
+        solve_perron(positive, SolverConfig(restarts=8), force=True)
+        assert len(runs) == 8
+
+    def test_result_is_the_uniform_start_run(self, positive):
+        config = SolverConfig()
+        got = solve_perron(positive, config)
+        ref = perron_module._power_run(positive, np.ones(4), config)
+        assert np.array_equal(got.vector, ref.vector)
+        for field in ("lam", "lower", "upper", "iterations", "converged", "residual"):
+            assert getattr(got, field) == getattr(ref, field)
