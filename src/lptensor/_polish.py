@@ -5,6 +5,8 @@ in least squares, with a backtracking line search so the residual norm
 never increases between accepted steps.
 """
 
+import math
+
 import numpy as np
 
 __all__ = ["gauss_newton"]
@@ -22,9 +24,10 @@ def gauss_newton(residual, jacobian, z0, max_steps=60, tol=1e-13):
     """
     z = np.array(z0, dtype=float)
     f = residual(z)
-    fnorm = float(np.linalg.norm(f))
+    # np.linalg.norm's own formula for a 1-D real vector, without its wrapper
+    fnorm = math.sqrt(f.dot(f))
     for _ in range(max_steps):
-        if fnorm <= tol or not np.isfinite(fnorm):
+        if fnorm <= tol or not math.isfinite(fnorm):
             break
         J = jacobian(z)
         step, *_ = np.linalg.lstsq(J, -f, rcond=None)
@@ -33,7 +36,7 @@ def gauss_newton(residual, jacobian, z0, max_steps=60, tol=1e-13):
         while t >= 1e-4:
             z_try = z + t * step
             f_try = residual(z_try)
-            fnorm_try = float(np.linalg.norm(f_try))
+            fnorm_try = math.sqrt(f_try.dot(f_try))
             if fnorm_try < fnorm:
                 z, f, fnorm = z_try, f_try, fnorm_try
                 improved = True

@@ -15,6 +15,7 @@ messages; the library API underneath counts from zero.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -408,9 +409,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser ``main`` uses, built on first use and kept for the process.
+
+    Parsing reads the parser and never changes it, so one build serves
+    every call; ``build_parser`` still returns a fresh one.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         code = args.handler(args)

@@ -1,4 +1,9 @@
-"""Solver configuration shared by the singular, eigen and Perron solvers."""
+"""Solver configuration shared by the singular, eigen and Perron solvers.
+
+Besides ``SolverConfig`` this holds the fixed constants the restart
+solvers share: the dedup tolerance, the stagnation test and the sign
+convention used to pick one representative of a pair.
+"""
 
 from dataclasses import dataclass
 
@@ -7,6 +12,12 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = ["SolverConfig", "restart_rng"]
+
+# two converged pairs closer than this in every component are one pair
+_DEDUP_TOL = 1e-6
+# an iteration stops once its tracked defect fell by less than 0.1% in 50 steps
+_STAGNATION_WINDOW = 50
+_STAGNATION_FACTOR = 0.999
 
 
 @dataclass(frozen=True)
@@ -37,3 +48,13 @@ class SolverConfig:
 def restart_rng(config, index):
     """Deterministic per-restart generator derived from the config seed."""
     return np.random.default_rng((config.seed, index))
+
+
+def _leading_negative(x):
+    """Sign of the first component within a factor 10 of the largest.
+
+    Residual-flat directions near degenerate pairs can carry junk of size
+    ~sqrt(tol); only entries of significant size may pick the orientation.
+    """
+    significant = np.flatnonzero(np.abs(x) >= 0.1 * np.max(np.abs(x)))
+    return x[significant[0]] < 0

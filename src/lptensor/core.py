@@ -9,6 +9,11 @@ row-major order: index ``(j_1, ..., j_k)`` sits at offset
 so the last index varies fastest.  Every operation works on the shaped
 read-only numpy view of that buffer.  Modes are numbered from zero in the
 API; error messages render them one-based.
+
+Each single-mode contraction in the per-call kernels is the
+``(rest, d) @ (d, 1)`` ``np.dot`` that ``np.tensordot`` makes internally,
+called directly so results match the tensordot form bit for bit without
+its per-call bookkeeping.
 """
 
 from itertools import combinations_with_replacement, permutations, product
@@ -118,6 +123,15 @@ def _check_mode(A, mode):
 
 
 def _as_vector(x, length, mode):
+    # the solvers' own vectors pass as they are: for them the conversion
+    # below would only make a view of the same data
+    if (
+        type(x) is np.ndarray
+        and x.ndim == 1
+        and x.dtype == np.float64
+        and x.shape[0] == length
+    ):
+        return x
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.size != length:
         raise DimensionError(
@@ -131,12 +145,23 @@ def _check_vectors(A, xs, skip=None):
         raise DimensionError(
             f"expected {A.order} vectors, one per mode, got {len(xs)}"
         )
-    out = []
-    for i, x in enumerate(xs):
-        if i == skip:
-            out.append(None)
-        else:
-            out.append(_as_vector(x, A.dims[i], i))
+    dims = A.dims
+    return [
+        None if i == skip else _as_vector(x, dims[i], i) for i, x in enumerate(xs)
+    ]
+
+
+def _contract_trailing(out, vs, modes):
+    """Contract the last axis of ``out`` with ``vs[j]`` for j in reversed ``modes``.
+
+    Each step is the ``(rest, d) @ (d, 1)`` dot that
+    ``np.tensordot(out, v, axes=([out.ndim - 1], [0]))`` makes, so the
+    result is the tensordot chain's bit for bit.
+    """
+    for j in reversed(modes):
+        v = vs[j]
+        d = v.shape[0]
+        out = np.dot(out.reshape(-1, d), v.reshape(d, 1)).reshape(out.shape[:-1])
     return out
 
 
@@ -144,12 +169,16 @@ def multilinear_eval(A, xs):
     """Evaluate the multilinear functional of ``A`` at one vector per mode.
 
     Linear in each argument; for a matrix this is the bilinear form
-    ``x^T A y``.
+    ``x^T A y``.  Modes are contracted first to last, each as the
+    ``(rest, d) @ (d, 1)`` dot that ``np.tensordot(out, v, axes=([0], [0]))``
+    makes, so the value matches that chain bit for bit.
     """
     vs = _check_vectors(A, xs)
     out = A.array
     for v in vs:
-        out = np.tensordot(out, v, axes=([0], [0]))
+        d = v.shape[0]
+        cycled = out.transpose(tuple(range(1, out.ndim)) + (0,))
+        out = np.dot(cycled.reshape(-1, d), v.reshape(d, 1)).reshape(out.shape[1:])
     return float(out)
 
 
@@ -199,15 +228,14 @@ def partial_contraction(A, xs, mode):
 
     Trailing modes are contracted first, in the same relative order for
     every choice of ``mode``, so on a symmetric tensor with equal vectors
-    the result is bit-for-bit identical across modes.
+    the result is bit-for-bit identical across modes.  Each contraction is
+    the ``(rest, d) @ (d, 1)`` dot that ``np.tensordot`` makes, so the
+    result matches the ``np.moveaxis`` + ``np.tensordot`` form bit for bit.
     """
     _check_mode(A, mode)
     vs = _check_vectors(A, xs, skip=mode)
-    out = np.moveaxis(A.array, mode, 0)
     others = [j for j in range(A.order) if j != mode]
-    for j in reversed(others):
-        out = np.tensordot(out, vs[j], axes=([out.ndim - 1], [0]))
-    return out
+    return _contract_trailing(A.array.transpose([mode] + others), vs, others)
 
 
 def pair_contraction(A, xs, mode_i, mode_j):
@@ -216,7 +244,9 @@ def pair_contraction(A, xs, mode_i, mode_j):
     Returns the ``dims[mode_i] x dims[mode_j]`` matrix with identity slots
     at both modes; this is the mixed second derivative of
     ``multilinear_eval``.  Used to assemble Jacobians of stationarity
-    systems.
+    systems.  Contractions run trailing modes first, each as the
+    ``(rest, d) @ (d, 1)`` dot that ``np.tensordot`` makes, so the result
+    matches the ``np.moveaxis`` + ``np.tensordot`` form bit for bit.
     """
     _check_mode(A, mode_i)
     _check_mode(A, mode_j)
@@ -229,11 +259,10 @@ def pair_contraction(A, xs, mode_i, mode_j):
     for j in range(k):
         if j not in (mode_i, mode_j):
             vecs[j] = _as_vector(xs[j], A.dims[j], j)
-    out = np.moveaxis(A.array, (mode_i, mode_j), (0, 1))
     others = [j for j in range(k) if j not in (mode_i, mode_j)]
-    for j in reversed(others):
-        out = np.tensordot(out, vecs[j], axes=([out.ndim - 1], [0]))
-    return out
+    return _contract_trailing(
+        A.array.transpose([mode_i, mode_j] + others), vecs, others
+    )
 
 
 def homogeneous_eval(A, x):

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._polish import gauss_newton
-from .config import SolverConfig, restart_rng
+from .config import (
+    _DEDUP_TOL,
+    _STAGNATION_FACTOR,
+    _STAGNATION_WINDOW,
+    SolverConfig,
+    _leading_negative,
+    restart_rng,
+)
 from .core import (
     homogeneous_eval,
     is_symmetric,
@@ -47,9 +54,6 @@ __all__ = [
     "solve_mode_eigenpairs",
 ]
 
-_DEDUP_TOL = 1e-6
-_STAGNATION_WINDOW = 50
-_STAGNATION_FACTOR = 0.999
 _OSCILLATION_RATIO = 1e-2
 _DAMPING = 0.5
 
@@ -87,16 +91,6 @@ def eigen_residual(A, x, lam, p, mode=0):
     x = np.asarray(x, dtype=float)
     g = partial_contraction(A, [x] * A.order, mode)
     return float(np.linalg.norm(g - lam * sign_power(x, p - 1)))
-
-
-def _leading_negative(x):
-    """Sign of the first component within a factor 10 of the largest.
-
-    Tiny components (residual-flat directions near degenerate pairs) must
-    not decide the orientation, so only entries of significant size count.
-    """
-    significant = np.flatnonzero(np.abs(x) >= 0.1 * np.max(np.abs(x)))
-    return x[significant[0]] < 0
 
 
 def _make_pair(A, x, p, mode, tol):
@@ -171,7 +165,7 @@ def _system_functions(A, p, mode):
         x, lam = z[:n], z[n]
         g = partial_contraction(A, [x] * k, mode)
         return np.concatenate(
-            [g - lam * sign_power(x, q), [np.sum(np.abs(x) ** p) - 1.0]]
+            [g - lam * sign_power(x, q), [(np.abs(x) ** p).sum() - 1.0]]
         )
 
     def jacobian(z):

@@ -41,6 +41,7 @@ __all__ = [
 _LETTERS = "abcdefgh"
 _SEED_BUDGET = 10_000_000
 _ORACLE_TOL = 1e-9
+# its own copy, not config's: the oracle must stay independent of the solvers
 _DEDUP_TOL = 1e-6
 _MATRIX_LIMIT = 64
 

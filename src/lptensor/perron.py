@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SolverConfig, restart_rng
+from .config import _STAGNATION_FACTOR, _STAGNATION_WINDOW, SolverConfig, restart_rng
 from .core import homogeneous_eval, partial_contraction
 from .eigen import eigen_residual
 from .errors import (
@@ -40,9 +40,6 @@ __all__ = [
     "collatz_wielandt",
     "solve_perron",
 ]
-
-_STAGNATION_WINDOW = 50
-_STAGNATION_FACTOR = 0.999
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._polish import gauss_newton
-from .config import SolverConfig, restart_rng
+from .config import (
+    _DEDUP_TOL,
+    _STAGNATION_FACTOR,
+    _STAGNATION_WINDOW,
+    SolverConfig,
+    _leading_negative,
+    restart_rng,
+)
 from .core import multilinear_eval, pair_contraction, partial_contraction
 from .errors import (
     ConvergenceWarning,
@@ -38,10 +45,6 @@ __all__ = [
     "solve_singular_pairs",
     "sigma_max",
 ]
-
-_DEDUP_TOL = 1e-6
-_STAGNATION_WINDOW = 50
-_STAGNATION_FACTOR = 0.999
 
 
 @dataclass(frozen=True)
@@ -99,16 +102,6 @@ def _make_pair(A, pn, vectors, tol):
         pnorms=pn,
         converged=res <= tol,
     )
-
-
-def _leading_negative(x):
-    """Sign of the first component within a factor 10 of the largest.
-
-    Residual-flat directions near degenerate pairs can carry junk of size
-    ~sqrt(tol); only entries of significant size may pick the orientation.
-    """
-    significant = np.flatnonzero(np.abs(x) >= 0.1 * np.max(np.abs(x)))
-    return x[significant[0]] < 0
 
 
 def _canonical_key(pair):
@@ -177,7 +170,7 @@ def _system_functions(A, pn):
             g = partial_contraction(A, xs, i)
             rows.append(g - sigma * sign_power(xs[i], pn[i] - 1))
         for i in range(k):
-            rows.append(np.array([np.sum(np.abs(xs[i]) ** pn[i]) - 1.0]))
+            rows.append(np.array([(np.abs(xs[i]) ** pn[i]).sum() - 1.0]))
         return np.concatenate(rows)
 
     def jacobian(z):

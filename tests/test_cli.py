@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lptensor.cli import main
+from lptensor.cli import _shared_parser, build_parser, main
 
 
 def write_tensor(path, dims, values):
@@ -189,3 +189,33 @@ class TestTextFormat:
         out = capsys.readouterr().out
         assert "command: singular" in out
         assert "sigma=" in out
+
+
+class TestRepeatedMain:
+    """main() reuses one parser, so no call may leak state into the next."""
+
+    def test_force_does_not_stick(self, diag_tensor, capsys):
+        assert main(["perron", diag_tensor, "--force", "--restarts", "2"]) in (0, 3)
+        capsys.readouterr()
+        assert main(["perron", diag_tensor]) == 4
+        assert "force" in capsys.readouterr().err
+
+    def test_format_does_not_stick(self, diag_tensor, capsys):
+        assert main(["check", diag_tensor, "--format", "text"]) == 0
+        assert capsys.readouterr().out.startswith("command: check\n")
+        assert main(["check", diag_tensor]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "check"
+        assert report["results"][0]["reducing_set"] == [1]
+
+    def test_bad_arguments_then_good_call(self, ones_tensor, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perron", ones_tensor, "--restarts", "many"])
+        assert exc.value.code == 2
+        assert main(["perron", ones_tensor, "--restarts", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["restarts"] == 2
+
+    def test_one_shared_parser_and_fresh_builds(self):
+        assert _shared_parser() is _shared_parser()
+        assert build_parser() is not build_parser()

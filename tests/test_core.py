@@ -22,6 +22,11 @@ from lptensor import (
     symmetrize,
 )
 from lptensor.errors import DimensionError, DomainError, ModeError, SymmetryError
+from reference_kernels import (
+    ref_multilinear_eval,
+    ref_pair_contraction,
+    ref_partial_contraction,
+)
 
 
 def naive_eval(A, xs):
@@ -249,6 +254,92 @@ class TestPairContraction:
             for l in range(2):
                 ref[i, l] = sum(t.array[i, j, l] * xs[1][j] for j in range(3))
         np.testing.assert_allclose(M, ref, rtol=1e-13, atol=1e-13)
+
+
+KERNEL_SHAPES = [
+    (2, 3),
+    (4, 4),
+    (3, 3, 3),
+    (2, 3, 4),
+    (4, 1, 3),
+    (3, 3, 3, 3),
+    (2, 3, 2, 4),
+    (2, 3, 2, 2, 3),
+]
+
+
+def vector_forms(rng, dims):
+    """The same kind of mode vectors in every form the solvers pass them."""
+    floats = [rng.standard_normal(d) for d in dims]
+    offs = np.cumsum([0] + list(dims))
+    long = rng.standard_normal(offs[-1] + 1)
+    return {
+        "float64": floats,
+        "list": [x.tolist() for x in floats],
+        "int": [rng.integers(-3, 4, size=d) for d in dims],
+        "strided": [rng.standard_normal(2 * d)[::2] for d in dims],
+        "slices": [long[offs[i]:offs[i + 1]] for i in range(len(dims))],
+    }
+
+
+@pytest.mark.parametrize("dims", KERNEL_SHAPES, ids=lambda d: "x".join(map(str, d)))
+class TestKernelBitIdentity:
+    """The dot-based kernels make the moveaxis + tensordot chains' bits."""
+
+    def test_partial_contraction_every_mode(self, dims):
+        rng = np.random.default_rng(30)
+        t = DenseTensor.from_array(rng.standard_normal(dims))
+        for form, xs in vector_forms(rng, dims).items():
+            for mode in range(len(dims)):
+                got = partial_contraction(t, xs, mode)
+                ref = ref_partial_contraction(t, xs, mode)
+                assert got.shape == ref.shape == (dims[mode],), form
+                assert got.tobytes() == ref.tobytes(), (form, mode)
+
+    def test_pair_contraction_every_ordered_pair(self, dims):
+        rng = np.random.default_rng(31)
+        t = DenseTensor.from_array(rng.standard_normal(dims))
+        for form, xs in vector_forms(rng, dims).items():
+            for i in range(len(dims)):
+                for j in range(len(dims)):
+                    if i == j:
+                        continue
+                    got = pair_contraction(t, xs, i, j)
+                    ref = ref_pair_contraction(t, xs, i, j)
+                    assert got.shape == ref.shape == (dims[i], dims[j]), form
+                    assert got.tobytes() == ref.tobytes(), (form, i, j)
+
+    def test_multilinear_eval(self, dims):
+        rng = np.random.default_rng(32)
+        t = DenseTensor.from_array(rng.standard_normal(dims))
+        for form, xs in vector_forms(rng, dims).items():
+            got = multilinear_eval(t, xs)
+            ref = ref_multilinear_eval(t, xs)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes(), form
+
+    def test_validation_kept(self, dims):
+        t = DenseTensor.from_array(np.ones(dims))
+        k = len(dims)
+        good = [np.ones(d) for d in dims]
+        short = list(good)
+        short[-1] = np.ones(dims[-1] + 1)
+        with pytest.raises(DimensionError, match=f"mode {k}"):
+            partial_contraction(t, short, 0)
+        with pytest.raises(DimensionError, match=f"mode {k}"):
+            multilinear_eval(t, short)
+        if k > 2:
+            with pytest.raises(DimensionError, match=f"mode {k}"):
+                pair_contraction(t, short, 0, 1)
+        with pytest.raises(DimensionError):
+            partial_contraction(t, good[:-1], 0)
+        for bad in (k, -1):
+            with pytest.raises(ModeError):
+                partial_contraction(t, good, bad)
+            with pytest.raises(ModeError):
+                pair_contraction(t, good, 0, bad)
+        with pytest.raises(ModeError):
+            pair_contraction(t, good, 1, 1)
 
 
 class TestHomogeneous:

@@ -5,6 +5,8 @@ import pytest
 
 from lptensor import PNormSpec, lp_norm, lp_norm_gradient, sign_power, sign_root
 from lptensor.errors import ParameterError, SingularPointError
+from lptensor.pnorm import _abs_int_pow
+from reference_kernels import ref_abs_int_pow
 
 
 def central_diff(f, x, h=1e-5):
@@ -73,6 +75,53 @@ class TestSignPower:
             lhs = float(x @ sign_power(x, q))
             rhs = lp_norm(x, q + 1) ** (q + 1)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
+POWER_INPUTS = [
+    np.array([0.0, -0.0, 1.5, -2.25, 3.0, -1e-3, 7e2]),
+    [-0.0, 0.0, -1.0, 2.0],
+    np.array([-3, 0, 2, 5]),
+    np.array([[0.5, -0.0], [-4.0, 1e-150]]),
+    np.linspace(-2.0, 2.0, 17)[::3],
+]
+
+
+def float_bytes(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestPowerBitIdentity:
+    """Powers start from |x|, not from ones; 1.0 * a == a keeps the bits."""
+
+    @pytest.mark.parametrize("q", range(7))
+    def test_abs_int_pow(self, q):
+        for x in POWER_INPUTS:
+            got = _abs_int_pow(x, q)
+            ref = ref_abs_int_pow(x, q)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), x
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_sign_power_and_lp_norm(self, q):
+        for x in POWER_INPUTS:
+            ref_power = np.sign(np.asarray(x, dtype=float)) * ref_abs_int_pow(x, q)
+            assert sign_power(x, q).tobytes() == ref_power.tobytes(), x
+            total = float(np.sum(ref_abs_int_pow(x, q)))
+            ref_norm = total if q == 1 else total ** (1.0 / q)
+            assert float_bytes(lp_norm(x, q)) == float_bytes(ref_norm), x
+
+    def test_q_zero_still_rejected(self):
+        assert _abs_int_pow([-0.0, 2.0], 0).tobytes() == float_bytes([1.0, 1.0])
+        with pytest.raises(ParameterError):
+            sign_power([1.0], 0)
+        with pytest.raises(ParameterError):
+            lp_norm([1.0], 0)
+
+    def test_result_does_not_alias_input(self):
+        x = np.array([1.0, 2.0])
+        out = _abs_int_pow(x, 1)
+        out[0] = 5.0
+        assert x[0] == 1.0
 
 
 class TestSignRoot:
