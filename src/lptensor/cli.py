@@ -205,7 +205,9 @@ def cmd_eigen(args):
         raise ParameterError("eigenpairs use a single --p exponent")
     if args.mode is None:
         pairs, notes = _run_with_warnings(
-            lambda: solve_symmetric_eigenpairs(tensor, p, config)
+            lambda: solve_symmetric_eigenpairs(
+                tensor, p, config, symmetry_atol=args.symmetry_atol
+            )
         )
     else:
         if not 1 <= args.mode <= tensor.order:
@@ -376,6 +378,12 @@ def build_parser():
         type=int,
         default=None,
         help="identity slot (one-based) for nonsymmetric input; omit for the symmetric solver",
+    )
+    p_eig.add_argument(
+        "--symmetry-atol",
+        type=float,
+        default=None,
+        help="absolute slack of the symmetric solver's symmetry check (default: exact)",
     )
     _add_solver_flags(p_eig)
     _add_format_flag(p_eig)

@@ -27,6 +27,12 @@ class SolverConfig:
     ``seed`` fixes every random start: restart number ``i`` draws from a
     generator seeded by ``(seed, i)``, so results do not depend on the
     order restarts are executed in.
+
+    The restart solvers run on A * 2**-e, the power-of-two rescaling of A
+    to unit Frobenius norm, so for them ``tol`` bounds the residual
+    relative to 2**e (within a factor 2 of ||A||_F); the ``residual`` they
+    report is on A.  At p >= 3 their pairs come back with exact zeros
+    where a zero entry solves the system.
     """
 
     tol: float = 1e-10

@@ -17,13 +17,24 @@ restart runs a damped fixed-point iteration (fast on extremal pairs) and
 a Gauss-Newton corrector from the same start, which also reaches interior
 pairs that are saddle points of the constrained form and hence invisible
 to any monotone iteration.
+
+Every restart runs on A * 2**-e, the power-of-two rescaling of A to unit
+Frobenius scale (``_restart.unit_scale``), so A and A * 2**j give
+bit-identical vectors and lambda scaled by exactly 2**j.  ``tol``
+therefore bounds the residual relative to 2**e, which is within a factor
+2 of ||A||_F; the returned lambda and ``residual`` are reported on A.  At
+p >= 3 a converged pair with near-zero entries is re-solved on its
+support and returned with exact zeros when that solves the full system.
 """
 
-from dataclasses import dataclass
+import math
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._polish import gauss_newton
+from ._restart import SNAP_ACCEPT, unit_scale, zero_sets
 from .config import (
     _DEDUP_TOL,
     _STAGNATION_FACTOR,
@@ -33,12 +44,14 @@ from .config import (
     restart_rng,
 )
 from .core import (
+    DenseTensor,
     homogeneous_eval,
     is_symmetric,
     pair_contraction,
     partial_contraction,
 )
 from .errors import (
+    ConvergenceWarning,
     DimensionError,
     ModeError,
     ParameterError,
@@ -198,6 +211,34 @@ def _polish_candidate(A, x, p, mode, config):
     return pair if pair.converged else None
 
 
+def _snap(A, p, mode, pair, config):
+    """The converged ``pair`` on its exact support, if it has one.
+
+    For each candidate zero set (``_restart.zero_sets``), largest first,
+    the system is re-solved on the sub-tensor with the one support S in
+    every slot.  The first result whose restricted Jacobian has full
+    column rank and whose full residual is at most ``SNAP_ACCEPT * tol``
+    replaces the pair; otherwise it stays as it is.
+    """
+    for (support,) in zero_sets([pair.vector], [p]):
+        residual, jacobian = _system_functions(
+            DenseTensor.from_array(A.array[np.ix_(*[support] * A.order)]), p, mode
+        )
+        z0 = np.concatenate([pair.vector[support], [pair.lam]])
+        z, _ = gauss_newton(residual, jacobian, z0, tol=min(config.tol * 1e-3, 1e-13))
+        if lp_norm(z[:-1], p) < 0.5:
+            continue
+        x = np.zeros_like(pair.vector)
+        x[support] = z[:-1]
+        snapped = _make_pair(A, x, p, mode, config.tol)
+        if snapped.residual > SNAP_ACCEPT * config.tol:
+            continue
+        J = jacobian(z)
+        if np.linalg.matrix_rank(J) == J.shape[1]:
+            return snapped
+    return pair
+
+
 def _canonical_key(pair):
     return np.concatenate([[pair.lam], pair.vector])
 
@@ -216,12 +257,14 @@ def _dedup(pairs):
 
 
 def _collect(A, p, mode, config):
+    """All restarts on the unit-scaled tensor; deduped pairs scaled back to A."""
     if A.is_zero():
         raise ZeroTensorError("eigenpairs of the zero tensor are undefined")
     config = config or SolverConfig()
     p = int(p)
     if p < 2:
         raise ParameterError(f"norm exponent must be an integer >= 2, got {p}")
+    A, e = unit_scale(A)
     found = []
     n = A.dims[0]
     for r in range(config.restarts):
@@ -232,7 +275,7 @@ def _collect(A, p, mode, config):
         x0 = unit_vector(g, p)
         polished = _polish_candidate(A, x0, p, mode, config)
         if polished is not None:
-            found.append(polished)
+            found.append(_snap(A, p, mode, polished, config))
         x, _ = _fixed_point_run(A, x0, p, mode, config)
         # always squeeze with the corrector: near-degenerate pairs can sit
         # within tolerance while junk of size ~sqrt(tol) lingers in flat
@@ -241,8 +284,17 @@ def _collect(A, p, mode, config):
         if pair is None:
             pair = _make_pair(A, x, p, mode, config.tol)
         if pair.converged:
-            found.append(pair)
-    return _dedup(found)
+            found.append(_snap(A, p, mode, pair, config))
+    if not found:
+        warnings.warn(
+            f"none of {config.restarts} restarts converged to tol={config.tol:g}",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
+    return [
+        replace(pair, lam=math.ldexp(pair.lam, e), residual=math.ldexp(pair.residual, e))
+        for pair in _dedup(found)
+    ]
 
 
 def solve_symmetric_eigenpairs(A, p, config=None, symmetry_atol=None):
@@ -256,7 +308,9 @@ def solve_symmetric_eigenpairs(A, p, config=None, symmetry_atol=None):
     :param symmetry_atol: pass a small tolerance to accept tensors that
         are symmetric only up to rounding.
     :returns: EigenPair list sorted by eigenvalue descending, deduplicated
-        up to the sign symmetry of the order.
+        up to the sign symmetry of the order.  Empty, with a
+        ``ConvergenceWarning`` naming the restart count, if nothing
+        converged.
     """
     _check_cubical(A)
     if not is_symmetric(A, atol=symmetry_atol):

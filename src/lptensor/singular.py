@@ -14,14 +14,25 @@ Gauss-Newton corrector on the full stationarity-plus-normalization system,
 which can also land on non-extremal pairs that no monotone iteration can
 reach.  Convergence is always declared on the residual, never on iterate
 movement.
+
+Every restart runs on A * 2**-e, the power-of-two rescaling of A to unit
+Frobenius scale (``_restart.unit_scale``), so the search does not depend
+on the scale of A: A and A * 2**j give bit-identical vectors and sigma
+scaled by exactly 2**j.  ``tol`` therefore bounds the residual relative
+to 2**e, which is within a factor 2 of ||A||_F; the returned sigma and
+``residual`` are reported on A.  A converged pair whose modes with
+p_i >= 3 have near-zero entries is re-solved on its support and returned
+with exact zeros when that solves the full system.
 """
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._polish import gauss_newton
+from ._restart import SNAP_ACCEPT, unit_scale, zero_sets
 from .config import (
     _DEDUP_TOL,
     _STAGNATION_FACTOR,
@@ -30,7 +41,7 @@ from .config import (
     _leading_negative,
     restart_rng,
 )
-from .core import multilinear_eval, pair_contraction, partial_contraction
+from .core import DenseTensor, multilinear_eval, pair_contraction, partial_contraction
 from .errors import (
     ConvergenceWarning,
     DegenerateIterateError,
@@ -209,6 +220,44 @@ def _polish_candidate(A, pn, xs, config):
     return pair if pair.converged else None
 
 
+def _snap(A, pn, pair, config):
+    """The converged ``pair`` on its exact support, if it has one.
+
+    For each candidate zero set (``_restart.zero_sets``), largest first,
+    the system is re-solved on the sub-tensor of the kept entries, with
+    each mode's own support.  The first result whose restricted Jacobian
+    has full column rank and whose full residual is at most
+    ``SNAP_ACCEPT * tol`` replaces the pair; otherwise it stays as it is.
+    """
+    for supports in zero_sets(pair.vectors, pn):
+        residual, jacobian, split = _system_functions(
+            DenseTensor.from_array(A.array[np.ix_(*supports)]), pn
+        )
+        z0 = np.concatenate([v[s] for v, s in zip(pair.vectors, supports)] + [[pair.sigma]])
+        z, _ = gauss_newton(residual, jacobian, z0, tol=min(config.tol * 1e-3, 1e-13))
+        parts, _ = split(z)
+        if any(lp_norm(v, pn[i]) < 0.5 for i, v in enumerate(parts)):
+            continue
+        vecs = []
+        for v, s, part in zip(pair.vectors, supports, parts):
+            full = np.zeros_like(v)
+            full[s] = part
+            vecs.append(full)
+        snapped = _make_pair(A, pn, vecs, config.tol)
+        if snapped.residual > SNAP_ACCEPT * config.tol:
+            continue
+        J = jacobian(z)
+        if np.linalg.matrix_rank(J) == J.shape[1]:
+            return snapped
+    return pair
+
+
+def _scaled_back(pair, e):
+    return replace(
+        pair, sigma=math.ldexp(pair.sigma, e), residual=math.ldexp(pair.residual, e)
+    )
+
+
 def _random_start(rng, dims, pn):
     xs = []
     for i, d in enumerate(dims):
@@ -220,11 +269,16 @@ def _random_start(rng, dims, pn):
 
 
 def _collect(A, pnorms, config):
-    """Run all restarts; return (deduped converged pairs, best overall)."""
+    """Run all restarts; return (deduped converged pairs, best overall).
+
+    The restarts, polishing, snapping and dedup all work on the unit-scaled
+    tensor; only the returned pairs are scaled back to A.
+    """
     if A.is_zero():
         raise ZeroTensorError("singular pairs of the zero tensor are undefined")
     pn = _spec(A, pnorms)
     config = config or SolverConfig()
+    A, e = unit_scale(A)
     converged = []
     best = None
     degenerate = None
@@ -233,7 +287,7 @@ def _collect(A, pnorms, config):
         start = _random_start(rng, A.dims, pn)
         polished = _polish_candidate(A, pn, start, config)
         if polished is not None:
-            converged.append(polished)
+            converged.append(_snap(A, pn, polished, config))
         try:
             xs, _ = _alternating_run(A, pn, start, config)
         except DegenerateIterateError as exc:
@@ -245,15 +299,15 @@ def _collect(A, pnorms, config):
         if pair is None:
             pair = _make_pair(A, pn, xs, config.tol)
         if pair.converged:
-            converged.append(pair)
+            converged.append(_snap(A, pn, pair, config))
         if best is None or pair.residual < best.residual:
             best = pair
     if best is None and not converged:
         if degenerate is not None:
             raise degenerate
         raise ZeroTensorError("no usable iterate produced")  # pragma: no cover
-    deduped = _dedup(converged)
-    return deduped, best
+    deduped = [_scaled_back(pair, e) for pair in _dedup(converged)]
+    return deduped, None if best is None else _scaled_back(best, e)
 
 
 def _dedup(pairs):
@@ -279,9 +333,17 @@ def solve_singular_pairs(A, pnorms=2, config=None):
     :param pnorms: PNormSpec, an integer, or one integer per mode.
     :param config: SolverConfig; defaults apply when omitted.
     :returns: pairs sorted by sigma descending, deduplicated up to the
-        even-sign-flip symmetry.  May be empty if nothing converged.
+        even-sign-flip symmetry.  Empty, with a ``ConvergenceWarning``
+        naming the restart count, if nothing converged.
     """
+    config = config or SolverConfig()
     deduped, _ = _collect(A, pnorms, config)
+    if not deduped:
+        warnings.warn(
+            f"none of {config.restarts} restarts converged to tol={config.tol:g}",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
     return deduped
 
 
@@ -289,22 +351,25 @@ def solve_singular_pair(A, pnorms=2, config=None, init=None):
     """One singular pair of ``A``.
 
     With ``init`` the solver runs only from that tuple (alternating
-    updates plus a Gauss-Newton finish).  Otherwise it runs the full
-    restart schedule and returns the converged pair with the largest
-    sigma, or, failing convergence everywhere, the best iterate seen with
-    ``converged=False``.
+    updates plus a Gauss-Newton finish), on the unit-scaled tensor like
+    the restarts.  Otherwise it runs the full restart schedule and returns
+    the converged pair with the largest sigma, or, failing convergence
+    everywhere, the best iterate seen with ``converged=False``.
     """
     config = config or SolverConfig()
     pn = _spec(A, pnorms)
     if init is not None:
         if A.is_zero():
             raise ZeroTensorError("singular pairs of the zero tensor are undefined")
+        A, e = unit_scale(A)
         start = [unit_vector(np.asarray(v, dtype=float), pn[i]) for i, v in enumerate(init)]
         xs, _ = _alternating_run(A, pn, start, config)
         pair = _polish_candidate(A, pn, xs, config)
         if pair is None:
             pair = _make_pair(A, pn, xs, config.tol)
-        return pair
+        if pair.converged:
+            pair = _snap(A, pn, pair, config)
+        return _scaled_back(pair, e)
     deduped, best = _collect(A, pnorms, config)
     if deduped:
         return deduped[0]

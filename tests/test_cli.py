@@ -1,5 +1,6 @@
 """Command line interface tests (in-process via main())."""
 
+import itertools
 import json
 
 import numpy as np
@@ -100,6 +101,16 @@ class TestEigen:
     def test_nonsymmetric_without_mode_exits_4(self, tmp_path, capsys):
         path = write_tensor(tmp_path / "ns.json", [2, 2], [2.0, 1.0, 0.0, 1.0])
         assert main(["eigen", path, "--p", "2"]) == 4
+
+    def test_symmetry_atol_accepts_rounded_symmetrization(self, tmp_path, capsys):
+        arr = np.random.default_rng(0).standard_normal((3, 3, 3))
+        averaged = sum(arr.transpose(perm) for perm in itertools.permutations(range(3))) / 6
+        path = write_tensor(tmp_path / "avg.json", [3, 3, 3], averaged.reshape(-1).tolist())
+        args = ["eigen", path, "--p", "2", "--restarts", "8"]
+        assert main(args) == 4
+        capsys.readouterr()
+        assert main(args + ["--symmetry-atol", "1e-12"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]
 
     def test_nonsymmetric_with_mode(self, tmp_path, capsys):
         path = write_tensor(tmp_path / "ns.json", [2, 2], [2.0, 1.0, 0.0, 1.0])

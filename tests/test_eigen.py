@@ -1,7 +1,11 @@
 """Eigenpair solver tests."""
 
+import math
+
 import numpy as np
 import pytest
+
+import lptensor.eigen as eigen_module
 
 from lptensor import (
     DenseTensor,
@@ -17,6 +21,7 @@ from lptensor import (
     symmetrize,
 )
 from lptensor.errors import (
+    ConvergenceWarning,
     DimensionError,
     ModeError,
     ParameterError,
@@ -207,3 +212,109 @@ class TestLagrangianConsistency:
             k - p
         ) * sign_power(x, p - 1)
         np.testing.assert_allclose(fd / k, defect, rtol=1e-6, atol=1e-8)
+
+
+def pair_fields(pairs):
+    return [(p.lam, p.residual, p.converged, p.vector.tobytes()) for p in pairs]
+
+
+def gaussian(seed, dims):
+    return np.random.default_rng(seed).standard_normal(dims)
+
+
+def sparse_p6_tensor():
+    """The sparse nonnegative 3x3x3 tensor with six mode-0 pairs at p = 6."""
+    rng = np.random.default_rng(3)
+    while True:
+        k, n = rng.integers(3, 5), rng.integers(2, 6)
+        p = rng.integers(k + 1, k + 4)
+        arr = rng.uniform(0, 1, (n,) * k) * (rng.uniform(size=(n,) * k) < 0.3)
+        arr[(np.arange(n),) + (rng.integers(0, n, n),) * (k - 1)] += rng.uniform(0.1, 1, n)
+        if (n, k, p) == (3, 3, 6):
+            return DenseTensor.from_array(arr)
+
+
+SOLVERS = {
+    "symmetric": lambda A, p, config: solve_symmetric_eigenpairs(A, p, config),
+    "mode": lambda A, p, config: solve_mode_eigenpairs(A, 1, p, config),
+}
+
+
+class TestScaleNormalization:
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("j", [-600, -40, -1, 1, 40, 600])
+    def test_power_of_two_scaling_is_exact(self, solver, j):
+        if solver == "mode":
+            arr = gaussian(64, (3, 3, 3))
+        else:
+            arr = symmetrize(DenseTensor.from_array(gaussian(63, (3, 3, 3)))).array
+        config = SolverConfig(restarts=8, seed=4)
+        solve = SOLVERS[solver]
+        reference = solve(DenseTensor.from_array(arr), 3, config)
+        scaled = solve(DenseTensor.from_array(np.ldexp(arr, j)), 3, config)
+        assert reference
+        assert len(scaled) == len(reference)
+        for got, ref in zip(scaled, reference):
+            assert got.vector.tobytes() == ref.vector.tobytes()
+            assert got.lam == math.ldexp(ref.lam, j)
+            assert got.residual == math.ldexp(ref.residual, j)
+            assert got.converged == ref.converged
+
+
+class TestExactSupports:
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e8])
+    def test_diagonal_p3_gives_two_pairs_with_exact_zeros(self, solver, scale):
+        t = DenseTensor.from_array(diagonal_tensor(2.0, 5.0).array * scale)
+        pairs = SOLVERS[solver](t, 3, SolverConfig())
+        assert len(pairs) == 2
+        np.testing.assert_allclose([p.lam for p in pairs], [5.0 * scale, 2.0 * scale], rtol=1e-12)
+        assert [p.vector.tolist() for p in pairs] == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("restarts", [32, 256])
+    def test_sparse_p6_pairs_do_not_follow_the_budget(self, restarts):
+        t = sparse_p6_tensor()
+        pairs = solve_mode_eigenpairs(t, 0, 6, SolverConfig(restarts=restarts))
+        assert len(pairs) == 6
+        (coordinate,) = [p for p in pairs if p.vector.tolist() == [0.0, 1.0, 0.0]]
+        assert abs(coordinate.lam - t[1, 1, 1]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (lambda: symmetrize(DenseTensor.from_array(gaussian(35, (3, 3, 3, 3)))), "symmetric", 4),
+            (lambda: DenseTensor.from_array(gaussian(25, (3, 3, 3))), "mode", 3),
+        ],
+        ids=["symmetric-3^4-p4", "mode1-3^3-p3"],
+    )
+    def test_snap_never_accepted_on_generic_input(self, case, monkeypatch):
+        # these inputs have converged pairs with snap candidates, and none
+        # of them lies on a smaller support
+        make, solver, p = case
+        t = make()
+        config = SolverConfig(restarts=16)
+        candidates = []
+        zero_sets = eigen_module.zero_sets
+
+        def counted(vectors, exps):
+            sets = list(zero_sets(vectors, exps))
+            candidates.extend(sets)
+            return iter(sets)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(eigen_module, "zero_sets", counted)
+            snapped = SOLVERS[solver](t, p, config)
+        assert candidates
+        with monkeypatch.context() as patch:
+            patch.setattr(eigen_module, "_snap", lambda A, p, mode, pair, config: pair)
+            plain = SOLVERS[solver](t, p, config)
+        assert pair_fields(snapped) == pair_fields(plain)
+
+
+class TestEmptyResult:
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_empty_result_warns_with_restart_count(self, solver):
+        t = symmetrize(DenseTensor.from_array(gaussian(65, (3, 3, 3))))
+        config = SolverConfig(restarts=2, max_iter=1, tol=1e-300)
+        with pytest.warns(ConvergenceWarning, match="none of 2 restarts converged"):
+            assert SOLVERS[solver](t, 3, config) == []

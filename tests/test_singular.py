@@ -1,7 +1,11 @@
 """Singular pair solver tests."""
 
+import math
+
 import numpy as np
 import pytest
+
+import lptensor.singular as singular_module
 
 from lptensor import (
     DenseTensor,
@@ -15,7 +19,7 @@ from lptensor import (
     solve_singular_pair,
     solve_singular_pairs,
 )
-from lptensor.errors import ZeroTensorError
+from lptensor.errors import ConvergenceWarning, ZeroTensorError
 
 
 def diag_matrix():
@@ -189,3 +193,93 @@ class TestSigmaMax:
         )
         assert best >= values.max() - 1e-3
         assert np.all(values <= best + 1e-9)
+
+
+def pair_fields(pairs):
+    return [
+        (pair.sigma, pair.residual, pair.converged, tuple(v.tobytes() for v in pair.vectors))
+        for pair in pairs
+    ]
+
+
+def gaussian(seed, dims):
+    return np.random.default_rng(seed).standard_normal(dims)
+
+
+class TestScaleNormalization:
+    CONFIG = SolverConfig(restarts=8, seed=4)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("j", [-600, -40, -1, 1, 40, 600])
+    def test_power_of_two_scaling_is_exact(self, p, j):
+        arr = gaussian(60, (3, 3, 3))
+        reference = solve_singular_pairs(DenseTensor.from_array(arr), p, self.CONFIG)
+        scaled = solve_singular_pairs(DenseTensor.from_array(np.ldexp(arr, j)), p, self.CONFIG)
+        assert reference
+        assert len(scaled) == len(reference)
+        for got, ref in zip(scaled, reference):
+            for u, v in zip(got.vectors, ref.vectors):
+                assert u.tobytes() == v.tobytes()
+            assert got.sigma == math.ldexp(ref.sigma, j)
+            assert got.residual == math.ldexp(ref.residual, j)
+            assert got.converged == ref.converged
+
+    def test_init_path_is_scaled_too(self):
+        arr = gaussian(61, (2, 3, 2))
+        init = [[1.0, 0.5], [0.2, 1.0, -0.3], [0.4, 1.0]]
+        reference = solve_singular_pair(DenseTensor.from_array(arr), 3, init=init)
+        scaled = solve_singular_pair(DenseTensor.from_array(np.ldexp(arr, -40)), 3, init=init)
+        assert reference.converged
+        assert [v.tobytes() for v in scaled.vectors] == [v.tobytes() for v in reference.vectors]
+        assert scaled.sigma == math.ldexp(reference.sigma, -40)
+
+
+class TestExactSupports:
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e8])
+    def test_diagonal_p3_gives_two_pairs_with_exact_zeros(self, scale):
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 0], arr[1, 1, 1] = 2.0, 5.0
+        pairs = solve_singular_pairs(DenseTensor.from_array(arr * scale), 3)
+        assert len(pairs) == 2
+        np.testing.assert_allclose([p.sigma for p in pairs], [5.0 * scale, 2.0 * scale], rtol=1e-12)
+        for pair, hot in zip(pairs, (1, 0)):
+            for v in pair.vectors:
+                assert v[1 - hot] == 0.0
+                assert abs(v[hot]) == 1.0
+
+    def test_snap_never_accepted_on_generic_input(self, monkeypatch):
+        # this input has converged pairs with snap candidates, and none of
+        # them lies on a smaller support
+        t = DenseTensor.from_array(gaussian(31, (2, 3, 4)))
+        config = SolverConfig(restarts=16)
+        candidates = []
+        zero_sets = singular_module.zero_sets
+
+        def counted(vectors, exps):
+            sets = list(zero_sets(vectors, exps))
+            candidates.extend(sets)
+            return iter(sets)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(singular_module, "zero_sets", counted)
+            snapped = solve_singular_pairs(t, 3, config)
+        assert candidates
+        with monkeypatch.context() as patch:
+            patch.setattr(singular_module, "_snap", lambda A, pn, pair, config: pair)
+            plain = solve_singular_pairs(t, 3, config)
+        assert pair_fields(snapped) == pair_fields(plain)
+
+
+class TestEmptyResult:
+    NOTHING_CONVERGES = SolverConfig(restarts=1, max_iter=1, tol=1e-300)
+
+    def test_empty_result_warns_with_restart_count(self):
+        t = DenseTensor.from_array(gaussian(62, (2, 2, 2)))
+        with pytest.warns(ConvergenceWarning, match="none of 1 restarts converged"):
+            assert solve_singular_pairs(t, 2, self.NOTHING_CONVERGES) == []
+
+    def test_sigma_max_warns_when_no_restart_converged(self):
+        t = DenseTensor.from_array(gaussian(62, (2, 2, 2)))
+        with pytest.warns(ConvergenceWarning, match="no restart converged"):
+            value = sigma_max(t, 2, self.NOTHING_CONVERGES)
+        assert value > 0.0
