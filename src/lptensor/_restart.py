@@ -12,8 +12,8 @@ At p >= 3 the map sign(x)|x|^(p-1) has zero derivative at 0, so a pair
 with an exact zero entry is a singular root of the stationarity system.
 Newton converges only linearly there and leaves junk of about
 tol^(1/(p-1)) in the zero entries.  ``zero_sets`` lists the candidate
-zero sets of a converged pair; each solver re-solves its system on the
-remaining support, where the root is regular (structured deflation in
+zero sets of a converged pair; ``_polish.snap`` re-solves the system on
+the remaining support, where the root is regular (structured deflation in
 the sense of Leykin, Verschelde & Zhao 2006), and keeps the result only
 if it solves the full system.
 """

@@ -327,11 +327,12 @@ def cmd_oracle(args):
     return EXIT_OK if points else EXIT_NOT_CONVERGED
 
 
-def _add_solver_flags(parser, restarts=32):
-    parser.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
-    parser.add_argument("--max-iter", type=int, default=1000, help="iteration cap")
-    parser.add_argument("--restarts", type=int, default=restarts, help="random restarts")
-    parser.add_argument("--seed", type=int, default=1, help="seed for the restarts")
+def _add_solver_flags(parser):
+    # the dataclass keeps each field's default as a class attribute
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol, help="residual tolerance")
+    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, help="iteration cap")
+    parser.add_argument("--restarts", type=int, default=SolverConfig.restarts, help="random restarts")
+    parser.add_argument("--seed", type=int, default=SolverConfig.seed, help="seed for the restarts")
 
 
 def _add_format_flag(parser):

@@ -15,7 +15,6 @@ __all__ = ["SolverConfig", "restart_rng"]
 
 # two converged pairs closer than this in every component are one pair
 _DEDUP_TOL = 1e-6
-# an iteration stops once its tracked defect fell by less than 0.1% in 50 steps
 _STAGNATION_WINDOW = 50
 _STAGNATION_FACTOR = 0.999
 
@@ -54,6 +53,14 @@ class SolverConfig:
 def restart_rng(config, index):
     """Deterministic per-restart generator derived from the config seed."""
     return np.random.default_rng((config.seed, index))
+
+
+def _stagnated(trail):
+    """True once the tracked defect ``trail`` fell by less than 0.1% in 50 steps."""
+    return (
+        len(trail) > _STAGNATION_WINDOW
+        and trail[-1] > _STAGNATION_FACTOR * trail[-1 - _STAGNATION_WINDOW]
+    )
 
 
 def _leading_negative(x):

@@ -12,53 +12,27 @@ puts the identity in slot i and the *same* vector in every other slot.
 (The defining equations are read per mode, each self-consistent in one
 vector; no coupled multi-vector variant is implemented.)
 
-Pairs are collected by multi-start only; there is no deflation.  Each
-restart runs a damped fixed-point iteration (fast on extremal pairs) and
-a Gauss-Newton corrector from the same start, which also reaches interior
-pairs that are saddle points of the constrained form and hence invisible
-to any monotone iteration.
-
-Every restart runs on A * 2**-e, the power-of-two rescaling of A to unit
-Frobenius scale (``_restart.unit_scale``), so A and A * 2**j give
-bit-identical vectors and lambda scaled by exactly 2**j.  ``tol``
-therefore bounds the residual relative to 2**e, which is within a factor
-2 of ||A||_F; the returned lambda and ``residual`` are reported on A.  At
-p >= 3 a converged pair with near-zero entries is re-solved on its
-support and returned with exact zeros when that solves the full system.
+Pairs come from the restart pipeline in ``_polish``, with the one vector
+in every slot (``slots = (0,) * k``, ``rows = (mode,)``); there is no
+deflation.  This module adds the leading-positive sign convention and the
+ascent, a damped fixed-point iteration that is fast on extremal pairs,
+while the pipeline's Gauss-Newton corrector also reaches interior pairs:
+saddle points of the constrained form, invisible to any monotone
+iteration.  Lambda and ``residual`` are reported on A; ``tol`` bounds the
+residual relative to the power-of-two scale of A (``SolverConfig``).
 """
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._polish import gauss_newton
-from ._restart import SNAP_ACCEPT, unit_scale, zero_sets
-from .config import (
-    _DEDUP_TOL,
-    _STAGNATION_FACTOR,
-    _STAGNATION_WINDOW,
-    SolverConfig,
-    _leading_negative,
-    restart_rng,
-)
-from .core import (
-    DenseTensor,
-    homogeneous_eval,
-    is_symmetric,
-    pair_contraction,
-    partial_contraction,
-)
-from .errors import (
-    ConvergenceWarning,
-    DimensionError,
-    ModeError,
-    ParameterError,
-    SymmetryError,
-    ZeroTensorError,
-)
-from .pnorm import lp_norm, sign_power, sign_root, unit_vector
+from ._polish import Candidate, Layout, collect
+from .config import SolverConfig, _leading_negative, _stagnated
+from .core import _check_mode, homogeneous_eval, is_symmetric, partial_contraction
+from .errors import ConvergenceWarning, DimensionError, SymmetryError, ZeroTensorError
+from .pnorm import PNormSpec, sign_power, sign_root, unit_vector
 
 __all__ = [
     "EigenPair",
@@ -99,35 +73,29 @@ def eigen_residual(A, x, lam, p, mode=0):
     which is what the p = k scale-invariance checks rely on.
     """
     _check_cubical(A)
-    if not 0 <= mode < A.order:
-        raise ModeError(f"mode {mode + 1} out of range for an order-{A.order} tensor")
+    _check_mode(A, mode)
     x = np.asarray(x, dtype=float)
     g = partial_contraction(A, [x] * A.order, mode)
     return float(np.linalg.norm(g - lam * sign_power(x, p - 1)))
 
 
-def _make_pair(A, x, p, mode, tol):
-    x = unit_vector(x, p)
+def _grade(A, layout, blocks):
+    """Normalize, apply the leading-positive convention, and grade."""
+    p, mode = layout.exps[0], layout.rows[0]
+    x = unit_vector(blocks[0], p)
     if _leading_negative(x):
         # canonical representative: leading significant component positive;
         # for odd order the eigenvalue flips with the vector
         x = -x
     lam = homogeneous_eval(A, x)
-    res = eigen_residual(A, x, lam, p, mode)
-    return EigenPair(
-        vector=x.copy(),
-        lam=float(lam),
-        mode=mode,
-        p=p,
-        residual=res,
-        converged=res <= tol,
-    )
+    return Candidate([x], lam, eigen_residual(A, x, lam, p, mode))
 
 
-def _fixed_point_run(A, x0, p, mode, config):
+def _fixed_point_run(A, layout, start, config):
     """Damped fixed-point iteration from one start; best iterate wins."""
+    p, mode = layout.exps[0], layout.rows[0]
     k = A.order
-    x = x0.copy()
+    x = start[0].copy()
     best_x, best_res = x.copy(), np.inf
     damped = False
     prev, prev2 = None, None
@@ -136,7 +104,7 @@ def _fixed_point_run(A, x0, p, mode, config):
         g = partial_contraction(A, [x] * k, mode)
         if not g.any():
             # annihilated direction: x is an exact lambda = 0 eigenpair
-            return x, 0.0
+            return [x]
         update = unit_vector(sign_root(g, p - 1), p)
         if damped:
             step = x + _DAMPING * (update - x)
@@ -160,100 +128,9 @@ def _fixed_point_run(A, x0, p, mode, config):
         if res <= config.tol:
             break
         trail.append(best_res)
-        if (
-            len(trail) > _STAGNATION_WINDOW
-            and trail[-1] > _STAGNATION_FACTOR * trail[-1 - _STAGNATION_WINDOW]
-        ):
+        if _stagnated(trail):
             break
-    return best_x, best_res
-
-
-def _system_functions(A, p, mode):
-    """Square stationarity-plus-normalization system in (x, lambda)."""
-    k = A.order
-    n = A.dims[0]
-    q = p - 1
-
-    def residual(z):
-        x, lam = z[:n], z[n]
-        g = partial_contraction(A, [x] * k, mode)
-        return np.concatenate(
-            [g - lam * sign_power(x, q), [(np.abs(x) ** p).sum() - 1.0]]
-        )
-
-    def jacobian(z):
-        x, lam = z[:n], z[n]
-        xs = [x] * k
-        D = np.zeros((n, n))
-        for j in range(k):
-            if j != mode:
-                D += pair_contraction(A, xs, mode, j)
-        deriv = q * np.abs(x) ** (q - 1) if q > 1 else np.ones(n)
-        D -= lam * np.diag(deriv)
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = D
-        J[:n, n] = -sign_power(x, q)
-        J[n, :n] = p * sign_power(x, p - 1)
-        return J
-
-    return residual, jacobian
-
-
-def _polish_candidate(A, x, p, mode, config):
-    residual, jacobian = _system_functions(A, p, mode)
-    x = np.asarray(x, dtype=float)
-    lam0 = homogeneous_eval(A, x)
-    z0 = np.concatenate([x, [lam0]])
-    z, _ = gauss_newton(residual, jacobian, z0, tol=min(config.tol * 1e-3, 1e-13))
-    if lp_norm(z[:-1], p) < 0.5:
-        return None
-    pair = _make_pair(A, z[:-1], p, mode, config.tol)
-    return pair if pair.converged else None
-
-
-def _snap(A, p, mode, pair, config):
-    """The converged ``pair`` on its exact support, if it has one.
-
-    For each candidate zero set (``_restart.zero_sets``), largest first,
-    the system is re-solved on the sub-tensor with the one support S in
-    every slot.  The first result whose restricted Jacobian has full
-    column rank and whose full residual is at most ``SNAP_ACCEPT * tol``
-    replaces the pair; otherwise it stays as it is.
-    """
-    for (support,) in zero_sets([pair.vector], [p]):
-        residual, jacobian = _system_functions(
-            DenseTensor.from_array(A.array[np.ix_(*[support] * A.order)]), p, mode
-        )
-        z0 = np.concatenate([pair.vector[support], [pair.lam]])
-        z, _ = gauss_newton(residual, jacobian, z0, tol=min(config.tol * 1e-3, 1e-13))
-        if lp_norm(z[:-1], p) < 0.5:
-            continue
-        x = np.zeros_like(pair.vector)
-        x[support] = z[:-1]
-        snapped = _make_pair(A, x, p, mode, config.tol)
-        if snapped.residual > SNAP_ACCEPT * config.tol:
-            continue
-        J = jacobian(z)
-        if np.linalg.matrix_rank(J) == J.shape[1]:
-            return snapped
-    return pair
-
-
-def _canonical_key(pair):
-    return np.concatenate([[pair.lam], pair.vector])
-
-
-def _dedup(pairs):
-    kept = []
-    keys = []
-    for pair in sorted(pairs, key=lambda e: (-e.lam, e.residual)):
-        key = _canonical_key(pair)
-        if any(np.max(np.abs(key - other)) <= _DEDUP_TOL for other in keys):
-            continue
-        kept.append(pair)
-        keys.append(key)
-    kept.sort(key=lambda e: (-e.lam, tuple(e.vector)))
-    return kept
+    return [best_x]
 
 
 def _collect(A, p, mode, config):
@@ -261,30 +138,8 @@ def _collect(A, p, mode, config):
     if A.is_zero():
         raise ZeroTensorError("eigenpairs of the zero tensor are undefined")
     config = config or SolverConfig()
-    p = int(p)
-    if p < 2:
-        raise ParameterError(f"norm exponent must be an integer >= 2, got {p}")
-    A, e = unit_scale(A)
-    found = []
-    n = A.dims[0]
-    for r in range(config.restarts):
-        rng = restart_rng(config, r)
-        g = rng.standard_normal(n)
-        while lp_norm(g, p) < 1e-8:
-            g = rng.standard_normal(n)
-        x0 = unit_vector(g, p)
-        polished = _polish_candidate(A, x0, p, mode, config)
-        if polished is not None:
-            found.append(_snap(A, p, mode, polished, config))
-        x, _ = _fixed_point_run(A, x0, p, mode, config)
-        # always squeeze with the corrector: near-degenerate pairs can sit
-        # within tolerance while junk of size ~sqrt(tol) lingers in flat
-        # directions, which would defeat deduplication
-        pair = _polish_candidate(A, x, p, mode, config)
-        if pair is None:
-            pair = _make_pair(A, x, p, mode, config.tol)
-        if pair.converged:
-            found.append(_snap(A, p, mode, pair, config))
+    pn = PNormSpec((p,))
+    found, _, e = collect(A, Layout(pn, (0,) * A.order, (mode,)), _grade, _fixed_point_run, config)
     if not found:
         warnings.warn(
             f"none of {config.restarts} restarts converged to tol={config.tol:g}",
@@ -292,8 +147,15 @@ def _collect(A, p, mode, config):
             stacklevel=3,
         )
     return [
-        replace(pair, lam=math.ldexp(pair.lam, e), residual=math.ldexp(pair.residual, e))
-        for pair in _dedup(found)
+        EigenPair(
+            vector=pair.blocks[0],
+            lam=math.ldexp(pair.value, e),
+            mode=mode,
+            p=pn[0],
+            residual=math.ldexp(pair.residual, e),
+            converged=pair.residual <= config.tol,
+        )
+        for pair in found
     ]
 
 
@@ -328,6 +190,5 @@ def solve_mode_eigenpairs(A, mode, p, config=None):
     ``solve_symmetric_eigenpairs`` for every mode.
     """
     _check_cubical(A)
-    if not 0 <= mode < A.order:
-        raise ModeError(f"mode {mode + 1} out of range for an order-{A.order} tensor")
+    _check_mode(A, mode)
     return _collect(A, p, mode, config)

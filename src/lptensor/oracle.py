@@ -303,9 +303,7 @@ def enumerate_critical_points(A, pnorms=2, kind="singular", resolution=40, mode=
         raise ParameterError(f'kind must be "singular" or "eigen", got {kind!r}')
     if A.is_zero():
         raise ZeroTensorError("every point is critical for the zero tensor")
-    pn = pnorms if isinstance(pnorms, PNormSpec) else PNormSpec.broadcast(pnorms, A.order)
-    if len(pn) != A.order:
-        pn = PNormSpec.broadcast(pn.exponents, A.order)
+    pn = PNormSpec.broadcast(pnorms, A.order)
 
     if kind == "eigen":
         if not A.is_cubical():

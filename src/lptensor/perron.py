@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _STAGNATION_FACTOR, _STAGNATION_WINDOW, SolverConfig, restart_rng
+from .config import SolverConfig, _stagnated, restart_rng
 from .core import homogeneous_eval, partial_contraction
 from .eigen import eigen_residual
 from .errors import (
@@ -143,11 +143,7 @@ def _power_run(A, x0, config, collect_trace=False):
                 converged = True
                 break
             gaps.append(gap)
-            if (
-                not damped
-                and len(gaps) > _STAGNATION_WINDOW
-                and gaps[-1] > _STAGNATION_FACTOR * gaps[-1 - _STAGNATION_WINDOW]
-            ):
+            if not damped and _stagnated(gaps):
                 damped = True
         z = sign_root(y, k - 1)
         if damped:

@@ -39,6 +39,18 @@ def _abs_int_pow(x, q):
     return out
 
 
+def _integer(value, what):
+    """``value`` as an int; rejects a non-integral value instead of truncating it."""
+    if type(value) is int:
+        return value
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
 def _scalar_int_pow(s, q):
     out = 1.0
     for _ in range(q):
@@ -56,7 +68,7 @@ class PNormSpec:
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(int(p) for p in self.exponents)
+        exps = tuple(_integer(p, "norm exponent") for p in self.exponents)
         if len(exps) == 0:
             raise ParameterError("PNormSpec needs at least one exponent")
         for p in exps:
@@ -66,10 +78,12 @@ class PNormSpec:
 
     @classmethod
     def broadcast(cls, p, order):
-        """Build a spec for ``order`` modes from an int or a sequence."""
+        """Build a spec for ``order`` modes from an int, a sequence or a spec."""
+        if isinstance(p, cls) and len(p) == order:
+            return p
         if np.isscalar(p):
-            return cls((int(p),) * order)
-        exps = tuple(int(v) for v in p)
+            return cls((p,) * order)
+        exps = tuple(p)
         if len(exps) == 1:
             return cls(exps * order)
         if len(exps) != order:
@@ -90,7 +104,7 @@ class PNormSpec:
 
 def lp_norm(x, p):
     """(sum |x_i|^p)^(1/p) for integer p >= 1; zero only at the zero vector."""
-    p = int(p)
+    p = _integer(p, "lp_norm's p")
     if p < 1:
         raise ParameterError(f"lp_norm needs p >= 1, got {p}")
     x = np.asarray(x, dtype=float)
@@ -106,7 +120,7 @@ def sign_power(x, q):
     Odd in x, and coincides with the plain componentwise power when q is
     odd; ``sign_power(x, 1)`` is the identity.
     """
-    q = int(q)
+    q = _integer(q, "sign_power's q")
     if q < 1:
         raise ParameterError(f"sign_power needs q >= 1, got {q}")
     x = np.asarray(x, dtype=float)
@@ -115,7 +129,7 @@ def sign_power(x, q):
 
 def sign_root(y, q):
     """Componentwise sgn(y_i) * |y_i|**(1/q): the inverse of sign_power."""
-    q = int(q)
+    q = _integer(q, "sign_root's q")
     if q < 1:
         raise ParameterError(f"sign_root needs q >= 1, got {q}")
     y = np.asarray(y, dtype=float)
@@ -130,7 +144,7 @@ def lp_norm_gradient(x, p):
     Equals ``sign_power(x, p-1) / lp_norm(x, p)**(p-1)``; dotting with a
     unit-norm x gives exactly 1.
     """
-    p = int(p)
+    p = _integer(p, "lp_norm_gradient's p")
     if p < 2:
         raise ParameterError(f"lp_norm_gradient needs p >= 2, got {p}")
     x = np.asarray(x, dtype=float)

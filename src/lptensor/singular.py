@@ -7,47 +7,29 @@ each mode i.  For matrices with p = (2, 2) this reduces to the ordinary
 singular value decomposition conditions ``A v = sigma u`` and
 ``A^T u = sigma v``.
 
-The solver combines two searches from every random restart: cyclic
-alternating updates (each update solves one mode's stationarity exactly,
-given the others, and converges fast to extremal pairs) and a damped
-Gauss-Newton corrector on the full stationarity-plus-normalization system,
-which can also land on non-extremal pairs that no monotone iteration can
-reach.  Convergence is always declared on the residual, never on iterate
-movement.
-
-Every restart runs on A * 2**-e, the power-of-two rescaling of A to unit
-Frobenius scale (``_restart.unit_scale``), so the search does not depend
-on the scale of A: A and A * 2**j give bit-identical vectors and sigma
-scaled by exactly 2**j.  ``tol`` therefore bounds the residual relative
-to 2**e, which is within a factor 2 of ||A||_F; the returned sigma and
-``residual`` are reported on A.  A converged pair whose modes with
-p_i >= 3 have near-zero entries is re-solved on its support and returned
-with exact zeros when that solves the full system.
+Pairs come from the restart pipeline in ``_polish``, with one block per
+mode (``slots = rows = (0, ..., k-1)``).  This module adds the sigma >= 0
+convention and the ascent: cyclic alternating updates, each solving one
+mode's stationarity exactly given the others, which converge fast to
+extremal pairs, while the pipeline's Gauss-Newton corrector also lands on
+non-extremal pairs that no monotone iteration can reach.  Convergence is
+declared on the residual, never on iterate movement.  Sigma and
+``residual`` are reported on A; ``tol`` bounds the residual relative to
+the power-of-two scale of A (``SolverConfig``).
 """
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._polish import gauss_newton
-from ._restart import SNAP_ACCEPT, unit_scale, zero_sets
-from .config import (
-    _DEDUP_TOL,
-    _STAGNATION_FACTOR,
-    _STAGNATION_WINDOW,
-    SolverConfig,
-    _leading_negative,
-    restart_rng,
-)
-from .core import DenseTensor, multilinear_eval, pair_contraction, partial_contraction
-from .errors import (
-    ConvergenceWarning,
-    DegenerateIterateError,
-    ZeroTensorError,
-)
-from .pnorm import PNormSpec, lp_norm, sign_power, sign_root, unit_vector
+from ._polish import Candidate, Layout, collect, settle
+from ._restart import unit_scale
+from .config import SolverConfig, _stagnated
+from .core import multilinear_eval, partial_contraction
+from .errors import ConvergenceWarning, DegenerateIterateError, ZeroTensorError
+from .pnorm import PNormSpec, sign_power, sign_root, unit_vector
 
 __all__ = [
     "SingularPair",
@@ -74,21 +56,13 @@ class SingularPair:
     converged: bool
 
 
-def _spec(A, pnorms):
-    if isinstance(pnorms, PNormSpec):
-        if len(pnorms) != A.order:
-            return PNormSpec.broadcast(pnorms.exponents, A.order)
-        return pnorms
-    return PNormSpec.broadcast(pnorms, A.order)
-
-
 def singular_residual(A, vectors, sigma, pnorms):
     """Worst-mode stationarity defect of a candidate pair.
 
     Returns ``max_i || A(..., I at i, ...) - sigma * sign_power(x_i, p_i-1) ||_2``,
     which is zero exactly at singular pairs with unit mode norms.
     """
-    pn = _spec(A, pnorms)
+    pn = PNormSpec.broadcast(pnorms, A.order)
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     worst = 0.0
     for i in range(A.order):
@@ -98,35 +72,20 @@ def singular_residual(A, vectors, sigma, pnorms):
     return worst
 
 
-def _make_pair(A, pn, vectors, tol):
+def _grade(A, layout, blocks):
     """Normalize, apply the sigma >= 0 convention, and grade a candidate."""
-    vecs = [unit_vector(v, pn[i]) for i, v in enumerate(vectors)]
+    pn = layout.exps
+    vecs = [unit_vector(v, pn[i]) for i, v in enumerate(blocks)]
     sigma = multilinear_eval(A, vecs)
     if sigma < 0.0:
         vecs[0] = -vecs[0]
         sigma = -sigma
-    res = singular_residual(A, vecs, sigma, pn)
-    return SingularPair(
-        vectors=tuple(v.copy() for v in vecs),
-        sigma=float(sigma),
-        residual=res,
-        pnorms=pn,
-        converged=res <= tol,
-    )
+    return Candidate(vecs, sigma, singular_residual(A, vecs, sigma, pn))
 
 
-def _canonical_key(pair):
-    """Representative under the even-sign-flip symmetry, for dedup."""
-    vecs = [v.copy() for v in pair.vectors]
-    for i in range(1, len(vecs)):
-        if _leading_negative(vecs[i]):
-            vecs[i] = -vecs[i]
-            vecs[0] = -vecs[0]
-    return np.concatenate([[pair.sigma]] + vecs)
-
-
-def _alternating_run(A, pn, start, config):
+def _alternating_run(A, layout, start, config):
     """Cyclic alternating updates from one start; returns best iterate."""
+    pn = layout.exps
     k = A.order
     xs = [v.copy() for v in start]
     best_xs, best_res = None, np.inf
@@ -138,7 +97,7 @@ def _alternating_run(A, pn, start, config):
                 # the current tuple may itself be a sigma = 0 pair
                 sigma = multilinear_eval(A, xs)
                 if singular_residual(A, xs, sigma, pn) <= config.tol:
-                    return [x.copy() for x in xs], 0.0
+                    return [x.copy() for x in xs]
                 raise DegenerateIterateError(
                     f"mode {i + 1}: exactly zero update direction"
                 )
@@ -151,179 +110,36 @@ def _alternating_run(A, pn, start, config):
         if res <= config.tol:
             break
         trail.append(best_res)
-        if (
-            len(trail) > _STAGNATION_WINDOW
-            and trail[-1] > _STAGNATION_FACTOR * trail[-1 - _STAGNATION_WINDOW]
-        ):
+        if _stagnated(trail):
             break
-    return best_xs, best_res
+    return best_xs
 
 
-def _system_functions(A, pn):
-    """Residual and Jacobian of the stationarity + normalization system.
-
-    Unknowns are the concatenated mode vectors followed by sigma.  The
-    system has sum(d_i) + k equations for sum(d_i) + 1 unknowns, so the
-    corrector works in least squares.
-    """
-    dims = A.dims
-    k = A.order
-    offs = np.cumsum([0] + list(dims))
-    nvar = offs[-1] + 1
-
-    def split(z):
-        return [z[offs[i]:offs[i + 1]] for i in range(k)], z[offs[-1]]
-
-    def residual(z):
-        xs, sigma = split(z)
-        rows = []
-        for i in range(k):
-            g = partial_contraction(A, xs, i)
-            rows.append(g - sigma * sign_power(xs[i], pn[i] - 1))
-        for i in range(k):
-            rows.append(np.array([(np.abs(xs[i]) ** pn[i]).sum() - 1.0]))
-        return np.concatenate(rows)
-
-    def jacobian(z):
-        xs, sigma = split(z)
-        neq = offs[-1] + k
-        J = np.zeros((neq, nvar))
-        for i in range(k):
-            r0 = offs[i]
-            q = pn[i] - 1
-            for j in range(k):
-                if j == i:
-                    deriv = q * np.abs(xs[i]) ** (q - 1) if q > 1 else np.ones(dims[i])
-                    J[r0:r0 + dims[i], offs[i]:offs[i + 1]] = -sigma * np.diag(deriv)
-                else:
-                    J[r0:r0 + dims[i], offs[j]:offs[j + 1]] = pair_contraction(
-                        A, xs, i, j
-                    )
-            J[r0:r0 + dims[i], nvar - 1] = -sign_power(xs[i], q)
-        for i in range(k):
-            J[offs[-1] + i, offs[i]:offs[i + 1]] = pn[i] * sign_power(xs[i], pn[i] - 1)
-        return J
-
-    return residual, jacobian, split
+def _layout(pn):
+    modes = tuple(range(len(pn)))
+    return Layout(pn, modes, modes)
 
 
-def _polish_candidate(A, pn, xs, config):
-    """Gauss-Newton correction of a tuple; None if it fails to converge."""
-    residual, jacobian, split = _system_functions(A, pn)
-    sigma0 = multilinear_eval(A, xs)
-    z0 = np.concatenate([np.concatenate(xs), [sigma0]])
-    z, _ = gauss_newton(residual, jacobian, z0, tol=min(config.tol * 1e-3, 1e-13))
-    vecs, _ = split(z)
-    if any(lp_norm(v, pn[i]) < 0.5 for i, v in enumerate(vecs)):
-        return None
-    pair = _make_pair(A, pn, vecs, config.tol)
-    return pair if pair.converged else None
-
-
-def _snap(A, pn, pair, config):
-    """The converged ``pair`` on its exact support, if it has one.
-
-    For each candidate zero set (``_restart.zero_sets``), largest first,
-    the system is re-solved on the sub-tensor of the kept entries, with
-    each mode's own support.  The first result whose restricted Jacobian
-    has full column rank and whose full residual is at most
-    ``SNAP_ACCEPT * tol`` replaces the pair; otherwise it stays as it is.
-    """
-    for supports in zero_sets(pair.vectors, pn):
-        residual, jacobian, split = _system_functions(
-            DenseTensor.from_array(A.array[np.ix_(*supports)]), pn
-        )
-        z0 = np.concatenate([v[s] for v, s in zip(pair.vectors, supports)] + [[pair.sigma]])
-        z, _ = gauss_newton(residual, jacobian, z0, tol=min(config.tol * 1e-3, 1e-13))
-        parts, _ = split(z)
-        if any(lp_norm(v, pn[i]) < 0.5 for i, v in enumerate(parts)):
-            continue
-        vecs = []
-        for v, s, part in zip(pair.vectors, supports, parts):
-            full = np.zeros_like(v)
-            full[s] = part
-            vecs.append(full)
-        snapped = _make_pair(A, pn, vecs, config.tol)
-        if snapped.residual > SNAP_ACCEPT * config.tol:
-            continue
-        J = jacobian(z)
-        if np.linalg.matrix_rank(J) == J.shape[1]:
-            return snapped
-    return pair
-
-
-def _scaled_back(pair, e):
-    return replace(
-        pair, sigma=math.ldexp(pair.sigma, e), residual=math.ldexp(pair.residual, e)
+def _pair(candidate, pn, e, tol):
+    """The public pair of a candidate on A * 2**-e, reported on A."""
+    return SingularPair(
+        vectors=tuple(candidate.blocks),
+        sigma=math.ldexp(candidate.value, e),
+        residual=math.ldexp(candidate.residual, e),
+        pnorms=pn,
+        converged=candidate.residual <= tol,
     )
 
 
-def _random_start(rng, dims, pn):
-    xs = []
-    for i, d in enumerate(dims):
-        g = rng.standard_normal(d)
-        while lp_norm(g, pn[i]) < 1e-8:
-            g = rng.standard_normal(d)
-        xs.append(unit_vector(g, pn[i]))
-    return xs
-
-
 def _collect(A, pnorms, config):
-    """Run all restarts; return (deduped converged pairs, best overall).
-
-    The restarts, polishing, snapping and dedup all work on the unit-scaled
-    tensor; only the returned pairs are scaled back to A.
-    """
+    """Run all restarts; return (deduped converged pairs, best overall)."""
     if A.is_zero():
         raise ZeroTensorError("singular pairs of the zero tensor are undefined")
-    pn = _spec(A, pnorms)
+    pn = PNormSpec.broadcast(pnorms, A.order)
     config = config or SolverConfig()
-    A, e = unit_scale(A)
-    converged = []
-    best = None
-    degenerate = None
-    for r in range(config.restarts):
-        rng = restart_rng(config, r)
-        start = _random_start(rng, A.dims, pn)
-        polished = _polish_candidate(A, pn, start, config)
-        if polished is not None:
-            converged.append(_snap(A, pn, polished, config))
-        try:
-            xs, _ = _alternating_run(A, pn, start, config)
-        except DegenerateIterateError as exc:
-            degenerate = exc
-            continue
-        # always squeeze with the corrector so flat-direction junk of size
-        # ~sqrt(tol) cannot survive into deduplication
-        pair = _polish_candidate(A, pn, xs, config)
-        if pair is None:
-            pair = _make_pair(A, pn, xs, config.tol)
-        if pair.converged:
-            converged.append(_snap(A, pn, pair, config))
-        if best is None or pair.residual < best.residual:
-            best = pair
-    if best is None and not converged:
-        if degenerate is not None:
-            raise degenerate
-        raise ZeroTensorError("no usable iterate produced")  # pragma: no cover
-    deduped = [_scaled_back(pair, e) for pair in _dedup(converged)]
-    return deduped, None if best is None else _scaled_back(best, e)
-
-
-def _dedup(pairs):
-    kept = []
-    keys = []
-    for pair in sorted(pairs, key=lambda p: (-p.sigma, p.residual)):
-        key = _canonical_key(pair)
-        if any(
-            key.size == other.size and np.max(np.abs(key - other)) <= _DEDUP_TOL
-            for other in keys
-        ):
-            continue
-        kept.append(pair)
-        keys.append(key)
-    kept.sort(key=lambda p: (-p.sigma, tuple(p.vectors[0])))
-    return kept
+    found, best, e = collect(A, _layout(pn), _grade, _alternating_run, config)
+    deduped = [_pair(pair, pn, e, config.tol) for pair in found]
+    return deduped, None if best is None else _pair(best, pn, e, config.tol)
 
 
 def solve_singular_pairs(A, pnorms=2, config=None):
@@ -357,19 +173,15 @@ def solve_singular_pair(A, pnorms=2, config=None, init=None):
     everywhere, the best iterate seen with ``converged=False``.
     """
     config = config or SolverConfig()
-    pn = _spec(A, pnorms)
+    pn = PNormSpec.broadcast(pnorms, A.order)
     if init is not None:
         if A.is_zero():
             raise ZeroTensorError("singular pairs of the zero tensor are undefined")
         A, e = unit_scale(A)
         start = [unit_vector(np.asarray(v, dtype=float), pn[i]) for i, v in enumerate(init)]
-        xs, _ = _alternating_run(A, pn, start, config)
-        pair = _polish_candidate(A, pn, xs, config)
-        if pair is None:
-            pair = _make_pair(A, pn, xs, config.tol)
-        if pair.converged:
-            pair = _snap(A, pn, pair, config)
-        return _scaled_back(pair, e)
+        layout = _layout(pn)
+        xs = _alternating_run(A, layout, start, config)
+        return _pair(settle(A, layout, _grade, xs, config), pn, e, config.tol)
     deduped, best = _collect(A, pnorms, config)
     if deduped:
         return deduped[0]

@@ -8,6 +8,8 @@ match these forms byte for byte.  Validation is left out here; the tests
 check it on the library functions.
 """
 
+import sys
+
 import numpy as np
 
 
@@ -72,19 +74,36 @@ def ref_gauss_newton(residual, jacobian, z0, max_steps=60, tol=1e-13):
 
 
 def install_references(monkeypatch):
-    """Bind the reference kernels everywhere the solvers look them up."""
-    import lptensor.core
-    import lptensor.eigen
-    import lptensor.pnorm
-    import lptensor.singular
+    """Bind the reference kernels everywhere the solvers look them up.
 
-    for module in (lptensor.core, lptensor.singular, lptensor.eigen):
-        for name, ref in (
-            ("multilinear_eval", ref_multilinear_eval),
-            ("partial_contraction", ref_partial_contraction),
-            ("pair_contraction", ref_pair_contraction),
-            ("gauss_newton", ref_gauss_newton),
-        ):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, ref)
-    monkeypatch.setattr(lptensor.pnorm, "_abs_int_pow", ref_abs_int_pow)
+    Every attribute of every loaded ``lptensor`` module that holds one of
+    the originals is rebound, since the solvers and the shared pipeline
+    bind kernels by direct import.  A reference that replaced no binding
+    would make the comparison vacuous, so that fails at once.
+    """
+    import lptensor._polish
+    import lptensor.core
+    import lptensor.pnorm
+
+    references = [
+        (lptensor.core.multilinear_eval, ref_multilinear_eval),
+        (lptensor.core.partial_contraction, ref_partial_contraction),
+        (lptensor.core.pair_contraction, ref_pair_contraction),
+        (lptensor._polish.gauss_newton, ref_gauss_newton),
+        (lptensor.pnorm._abs_int_pow, ref_abs_int_pow),
+    ]
+    modules = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if module is not None and (name == "lptensor" or name.startswith("lptensor."))
+    ]
+    for original, ref in references:
+        bindings = [
+            (module, attr)
+            for module in modules
+            for attr, value in vars(module).items()
+            if value is original
+        ]
+        assert bindings, f"{ref.__name__}: no lptensor module binds the original"
+        for module, attr in bindings:
+            monkeypatch.setattr(module, attr, ref)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import lptensor.eigen as eigen_module
+import lptensor._polish as pipeline_module
 
 from lptensor import (
     DenseTensor,
@@ -294,7 +294,7 @@ class TestExactSupports:
         t = make()
         config = SolverConfig(restarts=16)
         candidates = []
-        zero_sets = eigen_module.zero_sets
+        zero_sets = pipeline_module.zero_sets
 
         def counted(vectors, exps):
             sets = list(zero_sets(vectors, exps))
@@ -302,11 +302,11 @@ class TestExactSupports:
             return iter(sets)
 
         with monkeypatch.context() as patch:
-            patch.setattr(eigen_module, "zero_sets", counted)
+            patch.setattr(pipeline_module, "zero_sets", counted)
             snapped = SOLVERS[solver](t, p, config)
         assert candidates
         with monkeypatch.context() as patch:
-            patch.setattr(eigen_module, "_snap", lambda A, p, mode, pair, config: pair)
+            patch.setattr(pipeline_module, "snap", lambda A, layout, grade, pair, config: pair)
             plain = SOLVERS[solver](t, p, config)
         assert pair_fields(snapped) == pair_fields(plain)
 
@@ -318,3 +318,22 @@ class TestEmptyResult:
         config = SolverConfig(restarts=2, max_iter=1, tol=1e-300)
         with pytest.warns(ConvergenceWarning, match="none of 2 restarts converged"):
             assert SOLVERS[solver](t, 3, config) == []
+
+
+class TestNonIntegerExponent:
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_fractional_exponent_rejected_not_truncated(self, solver):
+        t = symmetrize(DenseTensor.from_array(gaussian(66, (3, 3, 3))))
+        with pytest.raises(ParameterError, match="must be an integer, got 2.5"):
+            SOLVERS[solver](t, 2.5, SolverConfig(restarts=2))
+
+    def test_integral_float_exponent_accepted(self):
+        t = symmetrize(DenseTensor.from_array(gaussian(66, (3, 3, 3))))
+        config = SolverConfig(restarts=4)
+        got = solve_symmetric_eigenpairs(t, 3.0, config)
+        want = solve_symmetric_eigenpairs(t, np.int64(3), config)
+        assert got
+        assert [(p.lam, p.p, p.vector.tobytes()) for p in got] == [
+            (p.lam, p.p, p.vector.tobytes()) for p in want
+        ]
+        assert all(type(p.p) is int for p in got)

@@ -188,3 +188,46 @@ class TestPNormSpec:
     def test_rejects_wrong_length(self):
         with pytest.raises(ParameterError):
             PNormSpec.broadcast([2, 3], 3)
+
+
+class TestNonIntegerExponents:
+    """Integer exponents only: 2.5 is rejected, never truncated to 2."""
+
+    def test_spec_rejects_fractional_exponent(self):
+        with pytest.raises(ParameterError, match="must be an integer, got 3.9"):
+            PNormSpec((3.9, 2))
+
+    def test_broadcast_rejects_fractional_scalar(self):
+        with pytest.raises(ParameterError, match="must be an integer, got 2.5"):
+            PNormSpec.broadcast(2.5, 3)
+
+    def test_lp_norm_rejects_fractional_p(self):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            lp_norm([3.0, 4.0], 2.5)
+
+    def test_sign_power_rejects_fractional_q(self):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            sign_power([1.0, -2.0], 1.5)
+
+    def test_sign_root_rejects_fractional_q(self):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            sign_root([1.0, -8.0], 2.5)
+
+    def test_gradient_rejects_fractional_p(self):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            lp_norm_gradient([1.0, 2.0], 2.5)
+
+    def test_non_finite_exponent_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                lp_norm([1.0], bad)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        x = [3.0, -4.0]
+        for p in (3.0, np.int64(3), np.float64(3.0)):
+            assert lp_norm(x, p) == lp_norm(x, 3)
+            assert sign_power(x, p).tobytes() == sign_power(x, 3).tobytes()
+            assert sign_root(x, p).tobytes() == sign_root(x, 3).tobytes()
+            assert lp_norm_gradient(x, p).tobytes() == lp_norm_gradient(x, 3).tobytes()
+            assert PNormSpec.broadcast(p, 2).exponents == (3, 3)
+            assert type(PNormSpec((p,)).exponents[0]) is int

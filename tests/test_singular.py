@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import lptensor.singular as singular_module
+import lptensor._polish as pipeline_module
 
 from lptensor import (
     DenseTensor,
@@ -253,7 +253,7 @@ class TestExactSupports:
         t = DenseTensor.from_array(gaussian(31, (2, 3, 4)))
         config = SolverConfig(restarts=16)
         candidates = []
-        zero_sets = singular_module.zero_sets
+        zero_sets = pipeline_module.zero_sets
 
         def counted(vectors, exps):
             sets = list(zero_sets(vectors, exps))
@@ -261,11 +261,11 @@ class TestExactSupports:
             return iter(sets)
 
         with monkeypatch.context() as patch:
-            patch.setattr(singular_module, "zero_sets", counted)
+            patch.setattr(pipeline_module, "zero_sets", counted)
             snapped = solve_singular_pairs(t, 3, config)
         assert candidates
         with monkeypatch.context() as patch:
-            patch.setattr(singular_module, "_snap", lambda A, pn, pair, config: pair)
+            patch.setattr(pipeline_module, "snap", lambda A, layout, grade, pair, config: pair)
             plain = solve_singular_pairs(t, 3, config)
         assert pair_fields(snapped) == pair_fields(plain)
 
