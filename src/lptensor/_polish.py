@@ -121,12 +121,19 @@ def system_functions(A, layout):
         J = np.zeros((offs[-1] + len(dims), nvar))
         for b, i in enumerate(rows):
             own = cuts[b]
+            # each column block is summed in a zeroed temporary (so a -0.0
+            # contraction entry lands as +0.0) and written into J once
+            sums = {b: np.zeros((dims[b], dims[b]))}
             for j, c in enumerate(slots):
                 if j != i:
-                    J[own, cuts[c]] += pair_contraction(A, args, i, j)
+                    if c not in sums:
+                        sums[c] = np.zeros((dims[b], dims[c]))
+                    sums[c] += pair_contraction(A, args, i, j)
             q = exps[b] - 1
             deriv = q * np.abs(xs[b]) ** (q - 1) if q > 1 else np.ones(dims[b])
-            J[own, own] -= lam * np.diag(deriv)
+            sums[b] -= lam * np.diag(deriv)
+            for c, block in sums.items():
+                J[own, cuts[c]] = block
             J[own, nvar - 1] = -sign_power(xs[b], q)
             J[offs[-1] + b, own] = exps[b] * sign_power(xs[b], q)
         return J

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .oracle import enumerate_critical_points, hyperdet_222
 from .perron import find_reducing_set, is_nonnegative, solve_perron
+from .pnorm import _integer
 from .singular import solve_singular_pairs
 
 EXIT_OK = 0
@@ -77,9 +78,8 @@ def _parse_vector(text):
 
 
 def _parse_p(text, order):
-    parts = text.split(",")
     try:
-        values = [int(part) for part in parts]
+        values = [_integer(float(part), "--p value") for part in text.split(",")]
     except ValueError as exc:
         raise ParameterError(f"could not parse --p value {text!r}") from exc
     if len(values) == 1:

@@ -6,8 +6,11 @@ they cross-check:
 * ``enumerate_critical_points`` seeds a dense angular grid on the product
   of unit spheres and polishes every seed with a damped Gauss-Newton
   (Levenberg-Marquardt) iteration on the stationarity-plus-normalization
-  system, batched over all seeds.  Any critical point whose basin meets
-  the grid shows up; completeness is checked by cross-tests, not proven.
+  system, batched over all seeds.  Critical points come in sign orbits
+  (flipped mode vectors, a negated eigenvector), so at even resolution
+  each sphere grid keeps one point of every antipodal pair.  Any critical
+  point whose sign orbit's basin meets the grid shows up; completeness is
+  checked by cross-tests, not proven.
 * ``dense_baseline_svd`` / ``dense_baseline_symeig`` are from-scratch
   Jacobi decompositions used as the order-2 ground truth.
 * ``hyperdet_222`` is Cayley's quartic for 2x2x2 tensors, whose vanishing
@@ -241,7 +244,7 @@ def _levenberg_polish(system, Z0, iters=80):
     return Z, cost
 
 
-def _sphere_grid(d, resolution, p):
+def _full_sphere_grid(d, resolution, p):
     """Unit l^p points covering the directions of R^d, d in {1, 2, 3}."""
     if resolution < 1:
         raise ParameterError(f"resolution must be >= 1, got {resolution}")
@@ -263,6 +266,21 @@ def _sphere_grid(d, resolution, p):
         )
     norms = np.sum(np.abs(pts) ** p, axis=1) ** (1.0 / p)
     return pts / norms[:, None]
+
+
+def _sphere_grid(d, resolution, p):
+    """One point of each antipodal pair of the full grid, where it has pairs.
+
+    At even resolution and d >= 2 the full grid is antipodally symmetric;
+    its first half (angles below pi at d = 2, the upper hemisphere's polar
+    rows at d = 3, which lead the polar-major layout) holds one point of
+    every pair.  Critical points come in sign orbits and the polish
+    commutes with negation, so the other half only repeats them.
+    """
+    pts = _full_sphere_grid(d, resolution, p)
+    if d > 1 and resolution % 2 == 0:
+        pts = pts[: pts.shape[0] // 2]
+    return pts
 
 
 def _renormalize_rows(X, p):
@@ -291,13 +309,17 @@ def enumerate_critical_points(A, pnorms=2, kind="singular", resolution=40, mode=
     :param mode: identity slot for the eigen kind.
     :returns: deduplicated CriticalPoint list, values sorted descending.
 
-    Cost model: each mode of dimension d contributes resolution**(d-1)
-    grid points, the seed count is their product (capped at 1e7), and
-    every Levenberg sweep over N live seeds costs O(N * (sum d_i)^2)
-    flops plus one batched solve of that size.  Results are guaranteed to
-    contain any critical point whose polishing basin intersects the grid;
-    dedup folds the sign symmetries (even flips for the singular kind,
-    vector negation with the order-parity eigenvalue flip for eigen).
+    Cost model: each mode of dimension d >= 2 contributes
+    resolution**(d-1) grid points, halved at even resolution (one point
+    per antipodal pair), and a mode of dimension 1 contributes one.  The
+    seed count is their product (capped at 1e7), and every Levenberg
+    sweep over N live seeds costs O(N * (sum d_i)^2) flops plus one
+    batched solve of that size.  Results are guaranteed to contain any
+    critical point whose sign orbit's polishing basin intersects the grid
+    (flipping a set S of singular mode vectors maps sigma to
+    (-1)**|S| sigma; negating an eigenvector maps lambda to (-1)**k
+    lambda); dedup folds the sign symmetries (even flips for the singular
+    kind, vector negation with the order-parity eigenvalue flip for eigen).
     """
     if kind not in ("singular", "eigen"):
         raise ParameterError(f'kind must be "singular" or "eigen", got {kind!r}')
@@ -405,7 +427,7 @@ def _enumerate_eigen(A, p, resolution, mode):
 
 
 def _dedup_rows(keys):
-    """Collapse rows equal within the dedup tolerance.
+    """Collapse rows equal within the dedup tolerance, greedily in row order.
 
     Rounding only groups candidates; the returned representatives keep
     their full polished precision.
@@ -414,12 +436,14 @@ def _dedup_rows(keys):
         return []
     _, first = np.unique(np.round(keys, 8), axis=0, return_index=True)
     candidates = keys[np.sort(first)]
-    kept = []
+    kept = np.empty_like(candidates)
+    m = 0
     for row in candidates:
-        if any(np.max(np.abs(row - other)) <= _DEDUP_TOL for other in kept):
+        if (np.abs(kept[:m] - row).max(axis=1) <= _DEDUP_TOL).any():
             continue
-        kept.append(row)
-    return kept
+        kept[m] = row
+        m += 1
+    return list(kept[:m])
 
 
 # ---------------------------------------------------------------------------

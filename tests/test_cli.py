@@ -112,6 +112,23 @@ class TestEigen:
         assert main(args + ["--symmetry-atol", "1e-12"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]
 
+    def test_integral_float_exponent_reads_as_integer(self, diag_tensor, capsys):
+        args = ["eigen", diag_tensor, "--restarts", "8", "--p"]
+        assert main(args + ["3"]) == 0
+        as_int = capsys.readouterr().out
+        assert main(args + ["3.0"]) == 0
+        as_float = capsys.readouterr().out
+        assert as_float == as_int
+        assert json.loads(as_float)["config"]["p"] == 3
+
+    def test_non_integral_exponent_exits_2(self, diag_tensor, capsys):
+        assert main(["eigen", diag_tensor, "--p", "2.5"]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_unparsable_exponent_exits_2(self, diag_tensor, capsys):
+        assert main(["eigen", diag_tensor, "--p", "abc"]) == 2
+        assert "could not parse --p value" in capsys.readouterr().err
+
     def test_nonsymmetric_with_mode(self, tmp_path, capsys):
         path = write_tensor(tmp_path / "ns.json", [2, 2], [2.0, 1.0, 0.0, 1.0])
         assert main(["eigen", path, "--p", "2", "--mode", "1", "--restarts", "8"]) == 0

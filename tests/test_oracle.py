@@ -16,6 +16,7 @@ from lptensor import (
     solve_symmetric_eigenpairs,
     symmetrize,
 )
+from lptensor import oracle
 from lptensor._polish import gauss_newton
 from lptensor.errors import (
     DimensionError,
@@ -168,6 +169,159 @@ class TestEnumerate:
         t = DenseTensor.from_array(np.ones((4, 4)))
         with pytest.raises(SizeLimitError):
             enumerate_critical_points(t, 2, kind="singular", resolution=10)
+
+
+def point_bytes(points):
+    return [
+        (np.float64(pt.value).tobytes(), tuple(v.tobytes() for v in pt.vectors))
+        for pt in points
+    ]
+
+
+def full_grid_points(monkeypatch, t, p, kind, resolution):
+    """The enumeration as it runs on the full, antipodally symmetric grids."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_sphere_grid", oracle._full_sphere_grid)
+        return enumerate_critical_points(t, p, kind=kind, resolution=resolution)
+
+
+def polished_seed_count(monkeypatch, t, p, kind, resolution):
+    counts = []
+    polish = oracle._levenberg_polish
+
+    def recording(system, Z0):
+        counts.append(Z0.shape[0])
+        return polish(system, Z0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_levenberg_polish", recording)
+        enumerate_critical_points(t, p, kind=kind, resolution=resolution)
+    return sum(counts)
+
+
+def planted_zero_hyperdet(kind):
+    rng = np.random.default_rng(130)
+    if kind == "rank-one":
+        a, b, c = (rng.standard_normal(2) for _ in range(3))
+        return np.einsum("i,j,k->ijk", a, b, c)
+    M = rng.standard_normal((2, 2))
+    if kind == "proportional":
+        return np.stack([0.7 * M, M])
+    return np.stack([np.zeros((2, 2)), M])
+
+
+class TestHalfGrid:
+    @pytest.mark.parametrize(
+        "seed, dims, p, kind, resolution",
+        [
+            (131, (2, 2, 2), 2, "singular", 20),
+            (132, (2, 2, 2), 3, "singular", 20),
+            (133, (3, 3, 3), 3, "eigen", 40),
+        ],
+    )
+    def test_generic_points_bit_identical_to_full_grid(
+        self, monkeypatch, seed, dims, p, kind, resolution
+    ):
+        t = DenseTensor.from_array(np.random.default_rng(seed).standard_normal(dims))
+        if kind == "eigen":
+            t = symmetrize(t)
+        half = enumerate_critical_points(t, p, kind=kind, resolution=resolution)
+        full = full_grid_points(monkeypatch, t, p, kind, resolution)
+        assert half
+        assert point_bytes(half) == point_bytes(full)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_grid_halves_only_at_even_resolution(self, d):
+        for resolution in (1, 3, 15, 2, 8, 20):
+            full = oracle._full_sphere_grid(d, resolution, 3)
+            half = oracle._sphere_grid(d, resolution, 3)
+            if d == 1 or resolution % 2:
+                assert half.tobytes() == full.tobytes()
+                continue
+            assert half.tobytes() == full[: full.shape[0] // 2].tobytes()
+            # every full-grid point is a kept point or the antipode of one
+            gap = np.abs(full[:, None, :] - np.stack([half, -half])[:, None]).max(axis=-1)
+            assert gap.min(axis=(0, 2)).max() < 1e-15
+
+    def test_odd_resolution_polishes_the_full_grid(self, monkeypatch):
+        t = DenseTensor.from_array(np.random.default_rng(134).standard_normal((2, 2, 3)))
+        assert polished_seed_count(monkeypatch, t, 2, "singular", 7) == 7 * 7 * 49
+        assert polished_seed_count(monkeypatch, t, 2, "singular", 8) == 4 * 4 * 32
+
+    @pytest.mark.parametrize("planted", ["rank-one", "proportional", "zero-slice"])
+    def test_planted_continua_same_values_and_verdict(self, monkeypatch, planted):
+        t = DenseTensor.from_array(planted_zero_hyperdet(planted))
+        half = enumerate_critical_points(t, 2, kind="singular", resolution=12)
+        full = full_grid_points(monkeypatch, t, 2, "singular", 12)
+        assert {round(pt.value, 6) for pt in half} == {round(pt.value, 6) for pt in full}
+        det_zero = abs(hyperdet_222(t)) < 1e-9
+        assert det_zero
+        for points in (half, full):
+            assert any(abs(pt.value) < 1e-5 for pt in points) == det_zero
+
+    def test_seed_budget_counts_polished_seeds(self, monkeypatch):
+        t = DenseTensor.from_array(np.random.default_rng(135).standard_normal((2, 2, 2)))
+        seeds = polished_seed_count(monkeypatch, t, 2, "singular", 20)
+        assert seeds == 10 ** 3
+        monkeypatch.setattr(oracle, "_SEED_BUDGET", seeds)
+        assert enumerate_critical_points(t, 2, kind="singular", resolution=20)
+        monkeypatch.setattr(oracle, "_SEED_BUDGET", seeds - 1)
+        with pytest.raises(SizeLimitError):
+            enumerate_critical_points(t, 2, kind="singular", resolution=20)
+
+
+def reference_dedup_rows(keys):
+    """The earlier greedy loop: one Python-level comparison per kept row."""
+    if keys.size == 0:
+        return []
+    _, first = np.unique(np.round(keys, 8), axis=0, return_index=True)
+    candidates = keys[np.sort(first)]
+    kept = []
+    for row in candidates:
+        if any(np.max(np.abs(row - other)) <= oracle._DEDUP_TOL for other in kept):
+            continue
+        kept.append(row)
+    return kept
+
+
+def rows_bytes(rows):
+    return [row.tobytes() for row in rows]
+
+
+class TestDedupRows:
+    def test_planted_near_duplicates_match_reference(self):
+        rng = np.random.default_rng(136)
+        base = rng.standard_normal((150, 7))
+        near, far = base[:40].copy(), base[40:80].copy()
+        cols = rng.integers(0, 7, size=40)
+        near[np.arange(40), cols] += rng.choice([-0.5e-6, 0.5e-6], size=40)
+        far[np.arange(40), cols] += rng.choice([-2e-6, 2e-6], size=40)
+        keys = np.concatenate([base, near, far])[rng.permutation(230)]
+        kept = oracle._dedup_rows(keys)
+        assert rows_bytes(kept) == rows_bytes(reference_dedup_rows(keys))
+        assert len(kept) == 190
+
+    def test_planted_rank_one_candidates_match_reference(self, monkeypatch):
+        raw = []
+        dedup = oracle._dedup_rows
+
+        def recording(keys):
+            raw.append(keys)
+            return dedup(keys)
+
+        monkeypatch.setattr(oracle, "_dedup_rows", recording)
+        t = DenseTensor.from_array(planted_zero_hyperdet("rank-one"))
+        enumerate_critical_points(t, 2, kind="singular", resolution=20)
+        (keys,) = raw
+        assert keys.shape[0] >= 900
+        kept = dedup(keys)
+        assert len(kept) > 100
+        assert rows_bytes(kept) == rows_bytes(reference_dedup_rows(keys))
+
+    def test_empty_and_nan_rows(self):
+        assert oracle._dedup_rows(np.empty((0, 3))) == []
+        keys = np.array([[1.0, np.nan, 0.0], [1.0, 0.0, 0.0], [1.0, np.nan, 0.0]])
+        assert rows_bytes(oracle._dedup_rows(keys)) == rows_bytes(reference_dedup_rows(keys))
 
 
 class TestGaussNewtonSafeguard:
