@@ -1,12 +1,10 @@
 """The restart pipeline shared by the singular and eigen solvers.
 
 Singular pairs and l^p eigenpairs are both critical points of one
-multilinear form on a product of unit l^p spheres.  A ``Layout`` says how
-the unit vectors ("blocks") fill the tensor: ``exps[b]`` is the norm
-exponent of block b, ``slots[j]`` the block in tensor slot j, and
-``rows[b]`` the slot whose contraction gives block b's equations.  A
-singular problem has ``slots = rows = (0, ..., k-1)``, a mode-m
-eigenproblem ``slots = (0,) * k`` and ``rows = (m,)``.  Each restart of
+multilinear form on a product of unit l^p spheres, and a ``core.Layout``
+says how the unit vectors ("blocks") fill the tensor.  A singular problem
+has ``slots = rows = (0, ..., k-1)``, a mode-m eigenproblem
+``slots = (0,) * k`` and ``rows = (m,)``.  Each restart of
 ``collect`` runs on A * 2**-e (``_restart.unit_scale``): Gauss-Newton
 from the random start, the solver's ascent from the same start with a
 Gauss-Newton finish, a snap onto exact supports, then dedup up to even
@@ -24,14 +22,6 @@ from .config import _DEDUP_TOL, _leading_negative, restart_rng
 from .core import DenseTensor, multilinear_eval, pair_contraction, partial_contraction
 from .errors import DegenerateIterateError
 from .pnorm import lp_norm, sign_power, unit_vector
-
-
-class Layout(NamedTuple):
-    """How the blocks of a problem fill the tensor; see the module docstring."""
-
-    exps: tuple
-    slots: tuple
-    rows: tuple
 
 
 class Candidate(NamedTuple):
@@ -81,10 +71,6 @@ def gauss_newton(residual, jacobian, z0, max_steps=60, tol=1e-13):
     return z, fnorm
 
 
-def _block_dims(A, layout):
-    return [A.dims[layout.slots.index(b)] for b in range(len(layout.exps))]
-
-
 def system_functions(A, layout):
     """Residual, Jacobian and splitter of the stationarity + normalization system.
 
@@ -97,7 +83,7 @@ def system_functions(A, layout):
     """
     # plain tuples and ints: these run once per Newton step or line-search try
     exps, slots, rows = tuple(layout.exps), layout.slots, layout.rows
-    dims = _block_dims(A, layout)
+    dims = layout.block_dims(A.dims)
     offs = np.cumsum([0] + dims).tolist()
     cuts = [slice(offs[b], offs[b + 1]) for b in range(len(dims))]
     nvar = offs[-1] + 1
@@ -244,7 +230,7 @@ def collect(A, layout, grade, ascend, config):
     produced anything.
     """
     A, e = unit_scale(A)
-    dims = _block_dims(A, layout)
+    dims = layout.block_dims(A.dims)
     found = []
     best = degenerate = None
     for r in range(config.restarts):

@@ -18,6 +18,7 @@ its per-call bookkeeping.
 
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,6 +114,35 @@ class DenseTensor:
 
     def __repr__(self):
         return f"DenseTensor(dims={self.dims})"
+
+
+class Layout(NamedTuple):
+    """How the unit vectors ("blocks") of a critical-point problem fill a tensor.
+
+    Singular tuples and l^p eigenpairs are both critical points of one
+    multilinear form on a product of unit l^p spheres.  ``exps[b]`` is the
+    norm exponent of block b, ``slots[j]`` the block in tensor slot j, and
+    ``rows[b]`` the slot whose contraction gives block b's equations.
+    """
+
+    exps: tuple
+    slots: tuple
+    rows: tuple
+
+    @classmethod
+    def singular(cls, exps):
+        """One block per mode, each giving the equations of its own slot."""
+        modes = tuple(range(len(exps)))
+        return cls(exps, modes, modes)
+
+    @classmethod
+    def eigen(cls, p, order, mode):
+        """One block in every slot, with the identity in slot ``mode``."""
+        return cls((p,), (0,) * order, (mode,))
+
+    def block_dims(self, dims):
+        """The length of each block, read off the tensor dimensions ``dims``."""
+        return [dims[self.slots.index(b)] for b in range(len(self.exps))]
 
 
 def _check_mode(A, mode):

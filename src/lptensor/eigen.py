@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._polish import Candidate, Layout, collect
+from ._polish import Candidate, collect
 from .config import SolverConfig, _leading_negative, _stagnated
-from .core import _check_mode, homogeneous_eval, is_symmetric, partial_contraction
+from .core import Layout, _check_mode, homogeneous_eval, is_symmetric, partial_contraction
 from .errors import ConvergenceWarning, DimensionError, SymmetryError, ZeroTensorError
 from .pnorm import PNormSpec, sign_power, sign_root, unit_vector
 
@@ -139,7 +139,7 @@ def _collect(A, p, mode, config):
         raise ZeroTensorError("eigenpairs of the zero tensor are undefined")
     config = config or SolverConfig()
     pn = PNormSpec((p,))
-    found, _, e = collect(A, Layout(pn, (0,) * A.order, (mode,)), _grade, _fixed_point_run, config)
+    found, _, e = collect(A, Layout.eigen(pn[0], A.order, mode), _grade, _fixed_point_run, config)
     if not found:
         warnings.warn(
             f"none of {config.restarts} restarts converged to tol={config.tol:g}",

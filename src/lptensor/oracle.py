@@ -6,24 +6,29 @@ they cross-check:
 * ``enumerate_critical_points`` seeds a dense angular grid on the product
   of unit spheres and polishes every seed with a damped Gauss-Newton
   (Levenberg-Marquardt) iteration on the stationarity-plus-normalization
-  system, batched over all seeds.  Critical points come in sign orbits
-  (flipped mode vectors, a negated eigenvector), so at even resolution
-  each sphere grid keeps one point of every antipodal pair.  Any critical
-  point whose sign orbit's basin meets the grid shows up; completeness is
-  checked by cross-tests, not proven.
+  system, batched over chunks of 20,000 seeds.  Singular tuples and
+  eigenpairs are one problem here: a ``core.Layout`` says how the unit
+  vectors fill the tensor's slots, and one batched system, one polish and
+  one canonicalize+dedup serve both kinds.  Critical points come in sign
+  orbits (flipped mode vectors, a negated eigenvector), so at even
+  resolution each sphere grid keeps one point of every antipodal pair.
+  Any critical point whose sign orbit's basin meets the grid shows up;
+  completeness is checked by cross-tests, not proven.
 * ``dense_baseline_svd`` / ``dense_baseline_symeig`` are from-scratch
   Jacobi decompositions used as the order-2 ground truth.
 * ``hyperdet_222`` is Cayley's quartic for 2x2x2 tensors, whose vanishing
   characterizes the existence of a zero l^2 singular value.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, multilinear_eval
+from .core import DenseTensor, Layout, _check_mode, multilinear_eval
 from .eigen import eigen_residual
 from .errors import (
+    ConvergenceWarning,
     DimensionError,
     ParameterError,
     SizeLimitError,
@@ -43,6 +48,7 @@ __all__ = [
 
 _LETTERS = "abcdefgh"
 _SEED_BUDGET = 10_000_000
+_SEED_CHUNK = 20_000
 _ORACLE_TOL = 1e-9
 # its own copy, not config's: the oracle must stay independent of the solvers
 _DEDUP_TOL = 1e-6
@@ -73,133 +79,77 @@ def _spow_deriv(X, q):
     return np.ones_like(X)
 
 
-def _contract_batched(arr, Xs, skip):
-    k = arr.ndim
-    subs = [_LETTERS[:k]]
-    ops = [arr]
-    for j in range(k):
-        if j != skip:
-            subs.append("z" + _LETTERS[j])
-            ops.append(Xs[j])
-    return np.einsum(",".join(subs) + "->z" + _LETTERS[skip], *ops, optimize=False)
-
-
-def _pair_batched(arr, Xs, i, j):
-    k = arr.ndim
-    others = [m for m in range(k) if m not in (i, j)]
+def _contract_batched(arr, Xs, free=()):
+    """Contract every slot of ``arr`` but ``free`` with its row of ``Xs``, per seed."""
+    others = [m for m in range(arr.ndim) if m not in free]
     if not others:
-        base = arr if i < j else arr.T
-        return np.broadcast_to(base, (Xs[i].shape[0],) + base.shape)
-    subs = [_LETTERS[:k]]
-    ops = [arr]
-    for m in others:
-        subs.append("z" + _LETTERS[m])
-        ops.append(Xs[m])
-    out = "z" + _LETTERS[i] + _LETTERS[j]
-    return np.einsum(",".join(subs) + "->" + out, *ops, optimize=False)
+        # an order-2 pair: both slots free, the same matrix for every seed
+        base = arr if free[0] < free[1] else arr.T
+        return np.broadcast_to(base, (Xs[free[0]].shape[0],) + base.shape)
+    subs = [_LETTERS[:arr.ndim]] + ["z" + _LETTERS[m] for m in others]
+    out = "z" + "".join(_LETTERS[m] for m in free)
+    return np.einsum(
+        ",".join(subs) + "->" + out, arr, *[Xs[m] for m in others], optimize=False
+    )
 
 
-def _eval_batched(arr, Xs):
-    k = arr.ndim
-    subs = [_LETTERS[:k]] + ["z" + _LETTERS[j] for j in range(k)]
-    return np.einsum(",".join(subs) + "->z", arr, *Xs, optimize=False)
+class _System:
+    """Batched residual/Jacobian of the stationarity + normalization system.
 
+    Unknowns are the blocks of ``layout``, concatenated, then the value.
+    Block b's equations contract slot ``rows[b]``, with slot j filled by
+    block ``slots[j]``; each block adds its normalization equation.
+    """
 
-class _SingularSystem:
-    """Batched residual/Jacobian of the k-mode stationarity system."""
-
-    def __init__(self, A, pn):
+    def __init__(self, A, layout):
         self.arr = A.array
-        self.dims = A.dims
-        self.k = A.order
-        self.pn = pn
+        self.layout = layout
+        self.dims = layout.block_dims(A.dims)
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
-        self.nvar = int(self.offsets[-1]) + 1
-        self.neq = int(self.offsets[-1]) + self.k
 
     def split(self, Z):
-        Xs = [
-            Z[:, self.offsets[i]:self.offsets[i + 1]] for i in range(self.k)
-        ]
-        return Xs, Z[:, -1]
+        off = self.offsets
+        return [Z[:, off[b]:off[b + 1]] for b in range(len(self.dims))], Z[:, -1]
 
     def residual(self, Z):
-        Xs, sigma = self.split(Z)
+        Xs, lam = self.split(Z)
+        args = [Xs[s] for s in self.layout.slots]
         blocks = []
-        for i in range(self.k):
-            g = _contract_batched(self.arr, Xs, i)
-            blocks.append(g - sigma[:, None] * _spow(Xs[i], self.pn[i] - 1))
-        for i in range(self.k):
-            norms = np.sum(np.abs(Xs[i]) ** self.pn[i], axis=1) - 1.0
-            blocks.append(norms[:, None])
+        for b, i in enumerate(self.layout.rows):
+            g = _contract_batched(self.arr, args, (i,))
+            blocks.append(g - lam[:, None] * _spow(Xs[b], self.layout.exps[b] - 1))
+        for X, p in zip(Xs, self.layout.exps):
+            blocks.append((np.sum(np.abs(X) ** p, axis=1) - 1.0)[:, None])
         return np.concatenate(blocks, axis=1)
 
     def jacobian(self, Z):
-        Xs, sigma = self.split(Z)
-        N = Z.shape[0]
-        J = np.zeros((N, self.neq, self.nvar))
-        for i in range(self.k):
-            r0 = self.offsets[i]
-            d_i = self.dims[i]
-            q = self.pn[i] - 1
-            for j in range(self.k):
-                c0 = self.offsets[j]
+        Xs, lam = self.split(Z)
+        exps, slots = self.layout.exps, self.layout.slots
+        args = [Xs[s] for s in slots]
+        off, N = self.offsets, Z.shape[0]
+        J = np.zeros((N, off[-1] + len(self.dims), off[-1] + 1))
+        for b, i in enumerate(self.layout.rows):
+            own = slice(off[b], off[b + 1])
+            diag = np.arange(self.dims[b])
+            q = exps[b] - 1
+            # a block in other slots too (the eigen kind) sums its own-block
+            # terms in a zeroed temporary: += into strided J slices is slower
+            D = np.zeros((N, self.dims[b], self.dims[b])) if slots.count(b) > 1 else None
+            for j, c in enumerate(slots):
                 if j == i:
-                    rows = np.arange(d_i)
-                    J[:, r0 + rows, c0 + rows] = -sigma[:, None] * _spow_deriv(Xs[i], q)
+                    continue
+                pair = _contract_batched(self.arr, args, (i, j))
+                if c == b:
+                    D += pair
                 else:
-                    J[:, r0:r0 + d_i, c0:c0 + self.dims[j]] = _pair_batched(
-                        self.arr, Xs, i, j
-                    )
-            J[:, r0:r0 + d_i, -1] = -_spow(Xs[i], q)
-        base = self.offsets[-1]
-        for i in range(self.k):
-            c0 = self.offsets[i]
-            J[:, base + i, c0:c0 + self.dims[i]] = self.pn[i] * _spow(
-                Xs[i], self.pn[i] - 1
-            )
-        return J
-
-
-class _EigenSystem:
-    """Batched residual/Jacobian of the one-vector stationarity system."""
-
-    def __init__(self, A, p, mode):
-        self.arr = A.array
-        self.n = A.dims[0]
-        self.k = A.order
-        self.p = p
-        self.mode = mode
-        self.nvar = self.n + 1
-        self.neq = self.n + 1
-
-    def split(self, Z):
-        return Z[:, :self.n], Z[:, -1]
-
-    def residual(self, Z):
-        X, lam = self.split(Z)
-        Xs = [X] * self.k
-        g = _contract_batched(self.arr, Xs, self.mode)
-        norms = np.sum(np.abs(X) ** self.p, axis=1) - 1.0
-        return np.concatenate(
-            [g - lam[:, None] * _spow(X, self.p - 1), norms[:, None]], axis=1
-        )
-
-    def jacobian(self, Z):
-        X, lam = self.split(Z)
-        Xs = [X] * self.k
-        N = Z.shape[0]
-        q = self.p - 1
-        J = np.zeros((N, self.neq, self.nvar))
-        D = np.zeros((N, self.n, self.n))
-        for j in range(self.k):
-            if j != self.mode:
-                D += _pair_batched(self.arr, Xs, self.mode, j)
-        rows = np.arange(self.n)
-        D[:, rows, rows] -= lam[:, None] * _spow_deriv(X, q)
-        J[:, :self.n, :self.n] = D
-        J[:, :self.n, -1] = -_spow(X, q)
-        J[:, self.n, :self.n] = self.p * _spow(X, self.p - 1)
+                    J[:, own, off[c]:off[c + 1]] = pair
+            if D is None:
+                J[:, off[b] + diag, off[b] + diag] = -lam[:, None] * _spow_deriv(Xs[b], q)
+            else:
+                D[:, diag, diag] -= lam[:, None] * _spow_deriv(Xs[b], q)
+                J[:, own, own] = D
+            J[:, own, -1] = -_spow(Xs[b], q)
+            J[:, off[-1] + b, own] = exps[b] * _spow(Xs[b], q)
         return J
 
 
@@ -264,8 +214,7 @@ def _full_sphere_grid(d, resolution, p):
         raise SizeLimitError(
             f"angular seeding handles mode dimensions up to 3, got {d}"
         )
-    norms = np.sum(np.abs(pts) ** p, axis=1) ** (1.0 / p)
-    return pts / norms[:, None]
+    return _renormalize_rows(pts, p)
 
 
 def _sphere_grid(d, resolution, p):
@@ -308,120 +257,100 @@ def enumerate_critical_points(A, pnorms=2, kind="singular", resolution=40, mode=
     :param resolution: points per angular coordinate of each sphere grid.
     :param mode: identity slot for the eigen kind.
     :returns: deduplicated CriticalPoint list, values sorted descending.
+        Empty, with a ``ConvergenceWarning`` naming the number of seeds
+        polished, if no seed polished to a critical point.
 
-    Cost model: each mode of dimension d >= 2 contributes
+    Cost model: each unit vector of dimension d >= 2 (one per mode for
+    the singular kind, one in all for eigen) contributes
     resolution**(d-1) grid points, halved at even resolution (one point
-    per antipodal pair), and a mode of dimension 1 contributes one.  The
-    seed count is their product (capped at 1e7), and every Levenberg
-    sweep over N live seeds costs O(N * (sum d_i)^2) flops plus one
-    batched solve of that size.  Results are guaranteed to contain any
-    critical point whose sign orbit's polishing basin intersects the grid
-    (flipping a set S of singular mode vectors maps sigma to
-    (-1)**|S| sigma; negating an eigenvector maps lambda to (-1)**k
-    lambda); dedup folds the sign symmetries (even flips for the singular
-    kind, vector negation with the order-parity eigenvalue flip for eigen).
+    per antipodal pair), and one of dimension 1 contributes one.  The
+    seed count is their product (capped at 1e7); seeds are polished in
+    chunks of 20,000, and every Levenberg sweep over N live seeds costs
+    O(N * (sum d_i)^2) flops plus one batched solve of that size.  A
+    batched solve that fails raises the damping of every live seed in its
+    chunk, so above 20,000 seeds the points can depend on the chunking.
+    Results are guaranteed to contain any critical point whose sign
+    orbit's polishing basin intersects the grid (flipping a set S of
+    singular mode vectors maps sigma to (-1)**|S| sigma; negating an
+    eigenvector maps lambda to (-1)**k lambda); dedup folds the sign
+    symmetries (even flips for the singular kind, vector negation with
+    the order-parity eigenvalue flip for eigen).
     """
     if kind not in ("singular", "eigen"):
         raise ParameterError(f'kind must be "singular" or "eigen", got {kind!r}')
     if A.is_zero():
         raise ZeroTensorError("every point is critical for the zero tensor")
     pn = PNormSpec.broadcast(pnorms, A.order)
+    if kind == "singular":
+        return _enumerate(A, Layout.singular(pn), resolution)
+    if not A.is_cubical():
+        raise DimensionError(f"eigen enumeration needs a cubical tensor, got {A.dims}")
+    if len(set(pn.exponents)) != 1:
+        raise ParameterError("eigen enumeration uses a single norm exponent")
+    _check_mode(A, mode)
+    return _enumerate(A, Layout.eigen(pn[0], A.order, mode), resolution)
 
-    if kind == "eigen":
-        if not A.is_cubical():
-            raise DimensionError(f"eigen enumeration needs a cubical tensor, got {A.dims}")
-        if len(set(pn.exponents)) != 1:
-            raise ParameterError("eigen enumeration uses a single norm exponent")
-        return _enumerate_eigen(A, pn[0], resolution, mode)
-    return _enumerate_singular(A, pn, resolution)
 
+def _enumerate(A, layout, resolution):
+    """Polish the product grid of ``layout``'s blocks; canonicalize, dedup, grade.
 
-def _enumerate_singular(A, pn, resolution):
-    k = A.order
-    grids = [_sphere_grid(d, resolution, pn[i]) for i, d in enumerate(A.dims)]
+    A one-block layout (an eigenvector) is oriented by ``_leading_signs``.
+    With several blocks, block 0 takes sigma >= 0 and each other block is
+    oriented by ``_leading_signs``, flipping block 0 with it, which keeps
+    sigma.
+    """
+    arr, slots = A.array, layout.slots
+    grids = [
+        _sphere_grid(d, resolution, p)
+        for d, p in zip(layout.block_dims(A.dims), layout.exps)
+    ]
     counts = [g.shape[0] for g in grids]
     total = int(np.prod(counts))
     if total > _SEED_BUDGET:
         raise SizeLimitError(f"{total} seeds exceed the {_SEED_BUDGET} budget")
-    system = _SingularSystem(A, pn)
+    system = _System(A, layout)
 
     strides = np.concatenate([np.cumprod(counts[::-1])[-2::-1], [1]]).astype(int)
     accepted = []
-    chunk = 20000
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        Xs = [grids[i][(idx // strides[i]) % counts[i]] for i in range(k)]
-        sigma0 = _eval_batched(A.array, Xs)
-        Z0 = np.concatenate([np.concatenate(Xs, axis=1), sigma0[:, None]], axis=1)
+    for start in range(0, total, _SEED_CHUNK):
+        idx = np.arange(start, min(start + _SEED_CHUNK, total))
+        Xs = [g[(idx // s) % c] for g, s, c in zip(grids, strides, counts)]
+        value0 = _contract_batched(arr, [Xs[s] for s in slots])
+        Z0 = np.concatenate([np.concatenate(Xs, axis=1), value0[:, None]], axis=1)
         Z, cost = _levenberg_polish(system, Z0)
-        keep = cost <= (10.0 * _ORACLE_TOL) ** 2
-        if not keep.any():
-            continue
-        Zk = Z[keep]
-        Xs = [
-            _renormalize_rows(Zk[:, system.offsets[i]:system.offsets[i + 1]], pn[i])
-            for i in range(k)
-        ]
-        sigma = _eval_batched(A.array, Xs)
-        flip0 = np.where(sigma < 0, -1.0, 1.0)
-        Xs[0] = Xs[0] * flip0[:, None]
-        sigma = sigma * flip0
-        for i in range(1, k):
-            signs = _leading_signs(Xs[i])
-            Xs[i] = Xs[i] * signs[:, None]
-            Xs[0] = Xs[0] * signs[:, None]
-        accepted.append((Xs, sigma))
-    if not accepted:
-        return []
-    Xs = [np.concatenate([b[0][i] for b in accepted]) for i in range(k)]
-    sigma = np.concatenate([b[1] for b in accepted])
-    keys = np.concatenate([sigma[:, None]] + Xs, axis=1)
+        Xs, _ = system.split(Z[cost <= (10.0 * _ORACLE_TOL) ** 2])
+        Xs = [_renormalize_rows(X, p) for X, p in zip(Xs, layout.exps)]
+        if len(Xs) == 1:
+            Xs[0] = Xs[0] * _leading_signs(Xs[0])[:, None]
+            value = _contract_batched(arr, [Xs[s] for s in slots])
+        else:
+            value = _contract_batched(arr, Xs)
+            flip0 = np.where(value < 0, -1.0, 1.0)
+            Xs[0] = Xs[0] * flip0[:, None]
+            value = value * flip0
+            for b in range(1, len(Xs)):
+                signs = _leading_signs(Xs[b])
+                Xs[b] = Xs[b] * signs[:, None]
+                Xs[0] = Xs[0] * signs[:, None]
+        accepted.append(np.concatenate([value[:, None]] + Xs, axis=1))
+    kind = "eigen" if len(grids) == 1 else "singular"
+    off = system.offsets
     points = []
-    for row in _dedup_rows(keys):
-        vecs = []
-        pos = 1
-        for i, d in enumerate(A.dims):
-            vecs.append(np.array(row[pos:pos + d]))
-            pos += d
-        value = multilinear_eval(A, vecs)
-        res = singular_residual(A, vecs, value, pn)
+    for row in _dedup_rows(np.concatenate(accepted)):
+        vecs = [np.array(row[1 + off[b]:1 + off[b + 1]]) for b in range(len(grids))]
+        value = multilinear_eval(A, [vecs[s] for s in slots])
+        if kind == "singular":
+            res = singular_residual(A, vecs, value, layout.exps)
+        else:
+            res = eigen_residual(A, vecs[0], value, layout.exps[0], layout.rows[0])
         if res <= _ORACLE_TOL:
-            points.append(
-                CriticalPoint(
-                    vectors=tuple(vecs), value=float(value), kind="singular", residual=res
-                )
-            )
-    points.sort(key=lambda c: (-c.value, tuple(c.vectors[0])))
-    return points
-
-
-def _enumerate_eigen(A, p, resolution, mode):
-    n = A.dims[0]
-    k = A.order
-    grid = _sphere_grid(n, resolution, p)
-    if grid.shape[0] > _SEED_BUDGET:
-        raise SizeLimitError(f"{grid.shape[0]} seeds exceed the {_SEED_BUDGET} budget")
-    system = _EigenSystem(A, p, mode)
-    lam0 = _eval_batched(A.array, [grid] * k)
-    Z0 = np.concatenate([grid, lam0[:, None]], axis=1)
-    Z, cost = _levenberg_polish(system, Z0)
-    keep = cost <= (10.0 * _ORACLE_TOL) ** 2
-    if not keep.any():
-        return []
-    X = _renormalize_rows(Z[keep, :n], p)
-    signs = _leading_signs(X)
-    X = X * signs[:, None]
-    lam = _eval_batched(A.array, [X] * k)
-    keys = np.concatenate([lam[:, None], X], axis=1)
-    points = []
-    for row in _dedup_rows(keys):
-        x = np.array(row[1:])
-        value = multilinear_eval(A, [x] * k)
-        res = eigen_residual(A, x, value, p, mode)
-        if res <= _ORACLE_TOL:
-            points.append(
-                CriticalPoint(vectors=(x,), value=float(value), kind="eigen", residual=res)
-            )
+            points.append(CriticalPoint(tuple(vecs), float(value), kind, res))
+    if not points:
+        warnings.warn(
+            f"none of {total} polished seeds converged to tol={_ORACLE_TOL:g}",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
     points.sort(key=lambda c: (-c.value, tuple(c.vectors[0])))
     return points
 

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._polish import Candidate, Layout, collect, settle
+from ._polish import Candidate, collect, settle
 from ._restart import unit_scale
 from .config import SolverConfig, _stagnated
-from .core import multilinear_eval, partial_contraction
+from .core import Layout, multilinear_eval, partial_contraction
 from .errors import ConvergenceWarning, DegenerateIterateError, ZeroTensorError
 from .pnorm import PNormSpec, sign_power, sign_root, unit_vector
 
@@ -60,7 +60,8 @@ def singular_residual(A, vectors, sigma, pnorms):
     """Worst-mode stationarity defect of a candidate pair.
 
     Returns ``max_i || A(..., I at i, ...) - sigma * sign_power(x_i, p_i-1) ||_2``,
-    which is zero exactly at singular pairs with unit mode norms.
+    which is zero exactly at singular pairs with unit mode norms, and NaN
+    when any mode's defect is NaN (a NaN or infinite input).
     """
     pn = PNormSpec.broadcast(pnorms, A.order)
     vecs = [np.asarray(v, dtype=float) for v in vectors]
@@ -68,7 +69,11 @@ def singular_residual(A, vectors, sigma, pnorms):
     for i in range(A.order):
         g = partial_contraction(A, vecs, i)
         defect = g - sigma * sign_power(vecs[i], pn[i] - 1)
-        worst = max(worst, float(np.linalg.norm(defect)))
+        norm = float(np.linalg.norm(defect))
+        if norm != norm:
+            # max() would drop a NaN against the 0.0 start
+            return norm
+        worst = max(worst, norm)
     return worst
 
 
@@ -115,11 +120,6 @@ def _alternating_run(A, layout, start, config):
     return best_xs
 
 
-def _layout(pn):
-    modes = tuple(range(len(pn)))
-    return Layout(pn, modes, modes)
-
-
 def _pair(candidate, pn, e, tol):
     """The public pair of a candidate on A * 2**-e, reported on A."""
     return SingularPair(
@@ -137,7 +137,7 @@ def _collect(A, pnorms, config):
         raise ZeroTensorError("singular pairs of the zero tensor are undefined")
     pn = PNormSpec.broadcast(pnorms, A.order)
     config = config or SolverConfig()
-    found, best, e = collect(A, _layout(pn), _grade, _alternating_run, config)
+    found, best, e = collect(A, Layout.singular(pn), _grade, _alternating_run, config)
     deduped = [_pair(pair, pn, e, config.tol) for pair in found]
     return deduped, None if best is None else _pair(best, pn, e, config.tol)
 
@@ -179,7 +179,7 @@ def solve_singular_pair(A, pnorms=2, config=None, init=None):
             raise ZeroTensorError("singular pairs of the zero tensor are undefined")
         A, e = unit_scale(A)
         start = [unit_vector(np.asarray(v, dtype=float), pn[i]) for i, v in enumerate(init)]
-        layout = _layout(pn)
+        layout = Layout.singular(pn)
         xs = _alternating_run(A, layout, start, config)
         return _pair(settle(A, layout, _grade, xs, config), pn, e, config.tol)
     deduped, best = _collect(A, pnorms, config)

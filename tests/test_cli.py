@@ -196,6 +196,20 @@ class TestOracle:
         values = sorted(round(r["value"], 8) for r in report["results"])
         assert values == [1.0, 3.0]
 
+    @pytest.mark.parametrize("mode", ["0", "4"])
+    def test_eigen_mode_out_of_range_exits_2(self, diag_tensor, mode, capsys):
+        argv = ["oracle", diag_tensor, "--kind", "eigen", "--mode", mode]
+        assert main(argv + ["--resolution", "8"]) == 2
+        assert "out of range" in capsys.readouterr().err
+
+    def test_empty_result_exits_3_with_warning(self, tmp_path, capsys):
+        values = (np.random.default_rng(126).standard_normal(8) * 1e-6).tolist()
+        path = write_tensor(tmp_path / "tiny.json", [2, 2, 2], values)
+        assert main(["oracle", path, "--p", "3", "--resolution", "20"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"] == []
+        assert report["warnings"] == ["none of 1000 polished seeds converged to tol=1e-09"]
+
 
 class TestHyperdet:
     def test_two_corner_tensor(self, tmp_path, capsys):

@@ -70,6 +70,14 @@ class TestResidual:
         x = rng.standard_normal(3)
         assert eigen_residual(t, -x, -1.3, 2) == eigen_residual(t, x, 1.3, 2)
 
+    def test_nan_and_inf_input_give_nan(self):
+        rng = np.random.default_rng(51)
+        t = symmetrize(DenseTensor.from_array(rng.standard_normal((2, 2, 2))))
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(eigen_residual(t, [np.nan, np.nan], 1.0, 2))
+            assert math.isnan(eigen_residual(t, [0.6, 0.8], np.nan, 3))
+            assert math.isnan(eigen_residual(t, [np.inf, 0.0], 1.0, 2))
+
 
 class TestSymmetricSolve:
     def test_h_eigen_diagonal(self):

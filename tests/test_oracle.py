@@ -5,9 +5,11 @@ import pytest
 
 from lptensor import (
     DenseTensor,
+    PNormSpec,
     SolverConfig,
     dense_baseline_svd,
     dense_baseline_symeig,
+    eigen_residual,
     enumerate_critical_points,
     hyperdet_222,
     multilinear_transform,
@@ -18,12 +20,16 @@ from lptensor import (
 )
 from lptensor import oracle
 from lptensor._polish import gauss_newton
+from lptensor.core import Layout
 from lptensor.errors import (
+    ConvergenceWarning,
     DimensionError,
+    ModeError,
     ParameterError,
     SizeLimitError,
     SymmetryError,
 )
+from reference_kernels import _EigenSystem, _SingularSystem
 
 
 def pencil_discriminant(arr):
@@ -170,6 +176,23 @@ class TestEnumerate:
         with pytest.raises(SizeLimitError):
             enumerate_critical_points(t, 2, kind="singular", resolution=10)
 
+    @pytest.mark.parametrize("mode", [-1, 3])
+    def test_eigen_mode_out_of_range(self, mode):
+        t = DenseTensor.from_array(np.random.default_rng(125).standard_normal((3, 3, 3)))
+        with pytest.raises(ModeError):
+            enumerate_critical_points(t, 3, kind="eigen", resolution=10, mode=mode)
+
+    def test_empty_result_warns_with_seed_count(self):
+        # at scale 1e-6 the polish's absolute damping swamps the Jacobian,
+        # and no seed reaches the absolute keep test within its sweeps
+        arr = np.random.default_rng(126).standard_normal((2, 2, 2)) * 1e-6
+        message = r"none of 1000 polished seeds converged to tol=1e-09"
+        with pytest.warns(ConvergenceWarning, match=message):
+            points = enumerate_critical_points(
+                DenseTensor.from_array(arr), 3, kind="singular", resolution=20
+            )
+        assert points == []
+
 
 def point_bytes(points):
     return [
@@ -268,6 +291,81 @@ class TestHalfGrid:
         monkeypatch.setattr(oracle, "_SEED_BUDGET", seeds - 1)
         with pytest.raises(SizeLimitError):
             enumerate_critical_points(t, 2, kind="singular", resolution=20)
+
+
+def planted_z(rng, system_width, seeds=16):
+    """Random stacked unknowns with planted exact zeros of both signs."""
+    Z = rng.standard_normal((seeds, system_width))
+    Z[rng.random(Z.shape) < 0.15] = 0.0
+    Z[rng.random(Z.shape) < 0.15] = -0.0
+    return Z
+
+
+def assert_system_bytes(system, reference, rng):
+    Z = planted_z(rng, reference.nvar)
+    for name in ("residual", "jacobian"):
+        got, want = getattr(system, name)(Z), getattr(reference, name)(Z)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestSystem:
+    """The one layout-driven system against the earlier per-kind systems."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2), (2, 3, 2, 2)])
+    @pytest.mark.parametrize("p", [2, 3, 4, "mixed"])
+    def test_singular_matches_reference(self, dims, p):
+        exps = (2, 3, 4, 3)[: len(dims)] if p == "mixed" else p
+        pn = PNormSpec.broadcast(exps, len(dims))
+        rng = np.random.default_rng(137)
+        arr = rng.standard_normal(dims)
+        arr[rng.random(dims) < 0.2] = 0.0
+        A = DenseTensor.from_array(arr)
+        system = oracle._System(A, Layout.singular(pn))
+        assert_system_bytes(system, _SingularSystem(A, pn), rng)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_eigen_matches_reference_at_every_mode(self, order, p):
+        rng = np.random.default_rng(138)
+        arr = rng.standard_normal((3,) * order)
+        arr[rng.random(arr.shape) < 0.2] = 0.0
+        A = DenseTensor.from_array(arr)
+        for mode in range(order):
+            system = oracle._System(A, Layout.eigen(p, order, mode))
+            assert_system_bytes(system, _EigenSystem(A, p, mode), rng)
+
+    @pytest.mark.parametrize(
+        "dims, p, kind, mode",
+        [
+            ((2, 2, 3), 3, "singular", 0),
+            ((3, 2), (2, 4), "singular", 0),
+            ((3, 3, 3), 3, "eigen", 1),
+            ((2, 2, 2, 2), 4, "eigen", 3),
+        ],
+    )
+    def test_point_residuals_equal_solver_residuals(self, dims, p, kind, mode):
+        t = DenseTensor.from_array(np.random.default_rng(139).standard_normal(dims))
+        points = enumerate_critical_points(t, p, kind=kind, resolution=10, mode=mode)
+        assert points
+        for pt in points:
+            if kind == "singular":
+                want = singular_residual(t, pt.vectors, pt.value, p)
+            else:
+                want = eigen_residual(t, pt.vectors[0], pt.value, p, mode)
+            assert np.float64(pt.residual).tobytes() == np.float64(want).tobytes()
+
+    def test_chunked_eigen_grid_matches_one_batch(self, monkeypatch):
+        # 450 seeds: one batch at the default chunk size, five at 97
+        rng = np.random.default_rng(141)
+        t = symmetrize(DenseTensor.from_array(rng.standard_normal((3, 3, 3))))
+        one_batch = enumerate_critical_points(t, 3, kind="eigen", resolution=30)
+        monkeypatch.setattr(oracle, "_SEED_CHUNK", 97)
+        chunked = enumerate_critical_points(t, 3, kind="eigen", resolution=30)
+        assert chunked and len(chunked) == len(one_batch)
+        for a, b in zip(chunked, one_batch):
+            assert a.value == b.value and a.residual == b.residual
+            assert a.vectors[0].tobytes() == b.vectors[0].tobytes()
 
 
 def reference_dedup_rows(keys):

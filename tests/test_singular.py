@@ -52,6 +52,17 @@ class TestResidual:
             assert previous < res <= 20.0 * eps
             previous = res
 
+    def test_nan_and_inf_input_give_nan(self):
+        t = DenseTensor.from_array(np.random.default_rng(31).standard_normal((2, 2, 2)))
+        x = np.array([0.6, 0.8])
+        nan = np.full(2, np.nan)
+        inf = np.array([np.inf, 0.0])
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(singular_residual(t, [nan, nan, nan], 1.0, 2))
+            assert math.isnan(singular_residual(t, [x, nan, x], 1.0, 2))
+            assert math.isnan(singular_residual(t, [x, x, x], np.nan, 2))
+            assert math.isnan(singular_residual(t, [inf, inf, inf], 1.0, 2))
+
 
 class TestSolve:
     @pytest.mark.parametrize("p", [2, 3])
