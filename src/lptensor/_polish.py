@@ -7,9 +7,10 @@ has ``slots = rows = (0, ..., k-1)``, a mode-m eigenproblem
 ``slots = (0,) * k`` and ``rows = (m,)``.  Each restart of
 ``collect`` runs on A * 2**-e (``_restart.unit_scale``): Gauss-Newton
 from the random start, the solver's ascent from the same start with a
-Gauss-Newton finish, a snap onto exact supports, then dedup up to even
-sign flips of the blocks.  A solver supplies only ``grade`` (unit norms,
-its sign convention, its residual) and ``ascend``.
+Gauss-Newton finish, a snap onto exact supports, then dedup up to the
+sign orbits by ``_orbit``, which the grid oracle shares.  A solver
+supplies only ``grade`` (unit norms, its sign convention, its residual)
+and ``ascend``.
 """
 
 import math
@@ -17,8 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._orbit import canonicalize, greedy_dedup
 from ._restart import SNAP_ACCEPT, unit_scale, zero_sets
-from .config import _DEDUP_TOL, _leading_negative, restart_rng
+from .config import restart_rng
 from .core import DenseTensor, multilinear_eval, pair_contraction, partial_contraction
 from .errors import DegenerateIterateError
 from .pnorm import lp_norm, sign_power, unit_vector
@@ -191,30 +193,17 @@ def settle(A, layout, grade, blocks, config):
     return pair
 
 
-def _orbit_key(pair):
-    """Representative under flips of block 0 together with any other block.
+def dedup(pairs, order):
+    """One pair per sign orbit within ``_orbit.DEDUP_TOL``, by value descending.
 
-    Flipping an even set of blocks keeps every equation; for one block the
-    key is the pair itself.
+    ``order`` is the number of slots, which a one-block orbit needs.
     """
-    blocks = list(pair.blocks)
-    for i in range(1, len(blocks)):
-        if _leading_negative(blocks[i]):
-            blocks[i] = -blocks[i]
-            blocks[0] = -blocks[0]
-    return np.concatenate([[pair.value]] + blocks)
-
-
-def dedup(pairs):
-    """One pair per orbit within ``_DEDUP_TOL``, by value descending."""
-    kept = []
-    keys = []
-    for pair in sorted(pairs, key=lambda c: (-c.value, c.residual)):
-        key = _orbit_key(pair)
-        if any(np.max(np.abs(key - other)) <= _DEDUP_TOL for other in keys):
-            continue
-        kept.append(pair)
-        keys.append(key)
+    pairs = sorted(pairs, key=lambda c: (-c.value, c.residual))
+    if not pairs:
+        return []
+    Xs = [np.array(blocks) for blocks in zip(*(c.blocks for c in pairs))]
+    Xs, value = canonicalize(Xs, np.array([c.value for c in pairs]), order)
+    kept = [pairs[i] for i in greedy_dedup(np.column_stack([value] + Xs))]
     kept.sort(key=lambda c: (-c.value, tuple(c.blocks[0])))
     return kept
 
@@ -256,4 +245,4 @@ def collect(A, layout, grade, ascend, config):
             best = pair
     if best is None and not found:
         raise degenerate
-    return dedup(found), best, e
+    return dedup(found, len(layout.slots)), best, e

@@ -295,6 +295,8 @@ def cmd_check(args):
 
 
 def cmd_oracle(args):
+    if args.mode is not None and args.kind != "eigen":
+        raise ParameterError("--mode applies to the eigen kind only")
     tensor = _load_tensor(args.file)
     p = _parse_p(args.p, tensor.order)
     mode = 0 if args.mode is None else args.mode - 1

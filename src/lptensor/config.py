@@ -1,8 +1,8 @@
 """Solver configuration shared by the singular, eigen and Perron solvers.
 
-Besides ``SolverConfig`` this holds the fixed constants the restart
-solvers share: the dedup tolerance, the stagnation test and the sign
-convention used to pick one representative of a pair.
+Besides ``SolverConfig`` this holds the per-restart generator and the
+stagnation test.  The dedup tolerance and the sign convention that picks
+one representative of a pair live in ``_orbit``, shared with the oracle.
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,6 @@ from .errors import ParameterError
 
 __all__ = ["SolverConfig", "restart_rng"]
 
-# two converged pairs closer than this in every component are one pair
-_DEDUP_TOL = 1e-6
 _STAGNATION_WINDOW = 50
 _STAGNATION_FACTOR = 0.999
 
@@ -61,13 +59,3 @@ def _stagnated(trail):
         len(trail) > _STAGNATION_WINDOW
         and trail[-1] > _STAGNATION_FACTOR * trail[-1 - _STAGNATION_WINDOW]
     )
-
-
-def _leading_negative(x):
-    """Sign of the first component within a factor 10 of the largest.
-
-    Residual-flat directions near degenerate pairs can carry junk of size
-    ~sqrt(tol); only entries of significant size may pick the orientation.
-    """
-    significant = np.flatnonzero(np.abs(x) >= 0.1 * np.max(np.abs(x)))
-    return x[significant[0]] < 0

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._orbit import leading_signs
 from ._polish import Candidate, collect
-from .config import SolverConfig, _leading_negative, _stagnated
+from .config import SolverConfig, _stagnated
 from .core import Layout, _check_mode, homogeneous_eval, is_symmetric, partial_contraction
 from .errors import ConvergenceWarning, DimensionError, SymmetryError, ZeroTensorError
 from .pnorm import PNormSpec, sign_power, sign_root, unit_vector
@@ -83,10 +84,9 @@ def _grade(A, layout, blocks):
     """Normalize, apply the leading-positive convention, and grade."""
     p, mode = layout.exps[0], layout.rows[0]
     x = unit_vector(blocks[0], p)
-    if _leading_negative(x):
-        # canonical representative: leading significant component positive;
-        # for odd order the eigenvalue flips with the vector
-        x = -x
+    # canonical representative: leading significant component positive;
+    # for odd order the eigenvalue flips with the vector
+    x = x * leading_signs(x[None])
     lam = homogeneous_eval(A, x)
     return Candidate([x], lam, eigen_residual(A, x, lam, p, mode))
 

@@ -10,6 +10,12 @@ check it on the library functions.
 The grid oracle's batched singular and eigen systems are kept here too,
 as they were before one layout-driven class (``oracle._System``) replaced
 both; its residual and Jacobian must match them byte for byte.
+
+So are the sign-orbit rules as the solvers and the grid oracle each wrote
+them before both called ``_orbit``: the scalar orientation test, the
+solvers' orbit key and dedup loop, the oracle's batched orientation and
+sign branch, and its dedup loop.  ``_orbit``'s canonicalization and greedy
+dedup must pick the same members and keep the same rows, byte for byte.
 """
 
 import sys
@@ -251,3 +257,88 @@ class _EigenSystem:
         J[:, :self.n, -1] = -_spow(X, q)
         J[:, self.n, :self.n] = self.p * _spow(X, self.p - 1)
         return J
+
+
+# ---------------------------------------------------------------------------
+# sign-orbit canonicalization and dedup, once per caller
+
+REF_DEDUP_TOL = 1e-6
+
+
+def ref_leading_negative(x):
+    """Sign of the first component within a factor 10 of the largest."""
+    significant = np.flatnonzero(np.abs(x) >= 0.1 * np.max(np.abs(x)))
+    return x[significant[0]] < 0
+
+
+def ref_orbit_key(pair):
+    """The solvers' representative under flips of block 0 with any other block."""
+    blocks = list(pair.blocks)
+    for i in range(1, len(blocks)):
+        if ref_leading_negative(blocks[i]):
+            blocks[i] = -blocks[i]
+            blocks[0] = -blocks[0]
+    return np.concatenate([[pair.value]] + blocks)
+
+
+def ref_solver_dedup(pairs):
+    """The solvers' dedup: one pair per orbit, by value descending."""
+    kept = []
+    keys = []
+    for pair in sorted(pairs, key=lambda c: (-c.value, c.residual)):
+        key = ref_orbit_key(pair)
+        if any(np.max(np.abs(key - other)) <= REF_DEDUP_TOL for other in keys):
+            continue
+        kept.append(pair)
+        keys.append(key)
+    kept.sort(key=lambda c: (-c.value, tuple(c.blocks[0])))
+    return kept
+
+
+def ref_leading_signs(X):
+    """The oracle's orientation by the first entry within a factor 10 of the largest."""
+    absX = np.abs(X)
+    idx = (absX >= 0.1 * absX.max(axis=1, keepdims=True)).argmax(axis=1)
+    lead = X[np.arange(X.shape[0]), idx]
+    signs = np.where(lead < 0, -1.0, 1.0)
+    return signs
+
+
+def _value_batched(arr, Xs):
+    subs = [_LETTERS[:arr.ndim]] + ["z" + _LETTERS[m] for m in range(arr.ndim)]
+    return np.einsum(",".join(subs) + "->z", arr, *Xs, optimize=False)
+
+
+def ref_oracle_canonical(arr, slots, Xs):
+    """The oracle's sign branch: canonical blocks and their values, per row.
+
+    One block is oriented by ``ref_leading_signs`` and its value contracted
+    afterwards.  With several blocks, block 0 takes sigma >= 0 and each
+    other block is oriented, flipping block 0 with it.
+    """
+    Xs = list(Xs)
+    if len(Xs) == 1:
+        Xs[0] = Xs[0] * ref_leading_signs(Xs[0])[:, None]
+        value = _value_batched(arr, [Xs[s] for s in slots])
+    else:
+        value = _value_batched(arr, Xs)
+        flip0 = np.where(value < 0, -1.0, 1.0)
+        Xs[0] = Xs[0] * flip0[:, None]
+        value = value * flip0
+        for b in range(1, len(Xs)):
+            signs = ref_leading_signs(Xs[b])
+            Xs[b] = Xs[b] * signs[:, None]
+            Xs[0] = Xs[0] * signs[:, None]
+    return Xs, value
+
+
+def ref_oracle_dedup_loop(candidates):
+    """The oracle's greedy loop: each row against every row kept before it."""
+    kept = np.empty_like(candidates)
+    m = 0
+    for row in candidates:
+        if (np.abs(kept[:m] - row).max(axis=1) <= REF_DEDUP_TOL).any():
+            continue
+        kept[m] = row
+        m += 1
+    return list(kept[:m])

@@ -202,6 +202,13 @@ class TestOracle:
         assert main(argv + ["--resolution", "8"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_singular_kind_rejects_mode(self, diag_matrix, capsys):
+        argv = ["oracle", diag_matrix, "--kind", "singular", "--mode", "9"]
+        assert main(argv + ["--resolution", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--mode applies to the eigen kind only" in captured.err
+
     def test_empty_result_exits_3_with_warning(self, tmp_path, capsys):
         values = (np.random.default_rng(126).standard_normal(8) * 1e-6).tolist()
         path = write_tensor(tmp_path / "tiny.json", [2, 2, 2], values)

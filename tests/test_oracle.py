@@ -18,7 +18,7 @@ from lptensor import (
     solve_symmetric_eigenpairs,
     symmetrize,
 )
-from lptensor import oracle
+from lptensor import _orbit, oracle
 from lptensor._polish import gauss_newton
 from lptensor.core import Layout
 from lptensor.errors import (
@@ -376,7 +376,7 @@ def reference_dedup_rows(keys):
     candidates = keys[np.sort(first)]
     kept = []
     for row in candidates:
-        if any(np.max(np.abs(row - other)) <= oracle._DEDUP_TOL for other in kept):
+        if any(np.max(np.abs(row - other)) <= _orbit.DEDUP_TOL for other in kept):
             continue
         kept.append(row)
     return kept
