@@ -1,16 +1,19 @@
-"""The restart pipeline shared by the singular and eigen solvers.
+"""The batched restart engine shared by the singular and eigen solvers.
 
 Singular pairs and l^p eigenpairs are both critical points of one
 multilinear form on a product of unit l^p spheres, and a ``core.Layout``
 says how the unit vectors ("blocks") fill the tensor.  A singular problem
 has ``slots = rows = (0, ..., k-1)``, a mode-m eigenproblem
-``slots = (0,) * k`` and ``rows = (m,)``.  Each restart of
-``collect`` runs on A * 2**-e (``_restart.unit_scale``): Gauss-Newton
-from the random start, the solver's ascent from the same start with a
-Gauss-Newton finish, a snap onto exact supports, then dedup up to the
-sign orbits by ``_orbit``, which the grid oracle shares.  A solver
-supplies only ``grade`` (unit norms, its sign convention, its residual)
-and ``ascend``.
+``slots = (0,) * k`` and ``rows = (m,)``.  ``collect`` runs every restart
+at once on A * 2**-e (``_restart.unit_scale``): it draws all the random
+starts, runs the solver's ascent on all of them as one batch, and
+polishes the starts and the ascent results as one batch more, with the
+grid oracle's system and damped Gauss-Newton (``_system``).  Converged
+pairs are then snapped onto exact supports one at a time and deduped up
+to sign orbits by ``_orbit``.  A solver supplies only ``grade`` (unit
+norms, its sign convention, its residual) and a batched ``ascend``.
+Every seed is computed from its own data alone, so a restart's pairs do
+not depend on the other restarts in its batch.
 """
 
 import math
@@ -20,10 +23,10 @@ import numpy as np
 
 from ._orbit import canonicalize, greedy_dedup
 from ._restart import SNAP_ACCEPT, unit_scale, zero_sets
+from ._system import _contract_batched, _levenberg_polish, _System
 from .config import restart_rng
-from .core import DenseTensor, multilinear_eval, pair_contraction, partial_contraction
-from .errors import DegenerateIterateError
-from .pnorm import lp_norm, sign_power, unit_vector
+from .core import DenseTensor
+from .pnorm import lp_norm, unit_vector
 
 
 class Candidate(NamedTuple):
@@ -73,81 +76,51 @@ def gauss_newton(residual, jacobian, z0, max_steps=60, tol=1e-13):
     return z, fnorm
 
 
-def system_functions(A, layout):
-    """Residual, Jacobian and splitter of the stationarity + normalization system.
+def _corrector_tol(config):
+    """The system residual at which a corrector stops."""
+    return min(config.tol * 1e-3, 1e-13)
 
-    Unknowns are the concatenated blocks followed by the value lambda.
-    Block b gives ``A(..., I at rows[b], ...) - lambda * sign_power(x_b,
-    p_b - 1)``, with slot j filled by block ``slots[j]``, and the
-    normalization ``sum |x_b|**p_b - 1``.  A singular problem has
-    sum(d_i) + k equations in sum(d_i) + 1 unknowns, so the corrector
-    works in least squares; an eigenproblem is square.
+
+def _unit_blocks(Xs, exps):
+    """Per row, whether every block kept at least half of its unit norm."""
+    norms = [np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p) for X, p in zip(Xs, exps)]
+    return np.all([n >= 0.5 for n in norms], axis=0)
+
+
+def _polish_rows(system, A, grade, Xs, config):
+    """Polish N stacked tuples ``Xs`` as one batch; per row the graded pair or None.
+
+    A row comes back None unless every block kept at least half of its
+    norm and the graded pair converged to ``config.tol``.
     """
-    # plain tuples and ints: these run once per Newton step or line-search try
-    exps, slots, rows = tuple(layout.exps), layout.slots, layout.rows
-    dims = layout.block_dims(A.dims)
-    offs = np.cumsum([0] + dims).tolist()
-    cuts = [slice(offs[b], offs[b + 1]) for b in range(len(dims))]
-    nvar = offs[-1] + 1
-
-    def split(z):
-        return list(map(z.__getitem__, cuts)), z[offs[-1]]
-
-    def residual(z):
-        xs, lam = split(z)
-        args = list(map(xs.__getitem__, slots))
-        out = []
-        for b, i in enumerate(rows):
-            out.append(partial_contraction(A, args, i) - lam * sign_power(xs[b], exps[b] - 1))
-        for x, p in zip(xs, exps):
-            out.append([(np.abs(x) ** p).sum() - 1.0])
-        return np.concatenate(out)
-
-    def jacobian(z):
-        xs, lam = split(z)
-        args = list(map(xs.__getitem__, slots))
-        J = np.zeros((offs[-1] + len(dims), nvar))
-        for b, i in enumerate(rows):
-            own = cuts[b]
-            # each column block is summed in a zeroed temporary (so a -0.0
-            # contraction entry lands as +0.0) and written into J once
-            sums = {b: np.zeros((dims[b], dims[b]))}
-            for j, c in enumerate(slots):
-                if j != i:
-                    if c not in sums:
-                        sums[c] = np.zeros((dims[b], dims[c]))
-                    sums[c] += pair_contraction(A, args, i, j)
-            q = exps[b] - 1
-            deriv = q * np.abs(xs[b]) ** (q - 1) if q > 1 else np.ones(dims[b])
-            sums[b] -= lam * np.diag(deriv)
-            for c, block in sums.items():
-                J[own, cuts[c]] = block
-            J[own, nvar - 1] = -sign_power(xs[b], q)
-            J[offs[-1] + b, own] = exps[b] * sign_power(xs[b], q)
-        return J
-
-    return residual, jacobian, split
+    layout = system.layout
+    value = _contract_batched(system.arr, [Xs[s] for s in layout.slots])
+    Z0 = np.concatenate(list(Xs) + [value[:, None]], axis=1)
+    Z, _ = _levenberg_polish(system, Z0, stop=_corrector_tol(config) ** 2)
+    parts, _ = system.split(Z)
+    out = []
+    for r, kept in enumerate(_unit_blocks(parts, layout.exps)):
+        pair = grade(A, layout, [X[r] for X in parts]) if kept else None
+        out.append(pair if pair is not None and pair.residual <= config.tol else None)
+    return out
 
 
 def _correct(A, layout, blocks, value, config):
     """Gauss-Newton from ``(blocks, value)``; None if a block lost most of its norm."""
-    residual, jacobian, split = system_functions(A, layout)
+    system = _System(A, layout)
+
+    def residual(z):
+        return system.residual(z[None])[0]
+
+    def jacobian(z):
+        return system.jacobian(z[None])[0]
+
     z0 = np.concatenate(list(blocks) + [[value]])
-    z, _ = gauss_newton(residual, jacobian, z0, tol=min(config.tol * 1e-3, 1e-13))
-    parts, _ = split(z)
+    z, _ = gauss_newton(residual, jacobian, z0, tol=_corrector_tol(config))
+    parts = [X[0] for X in system.split(z[None])[0]]
     if any(lp_norm(x, p) < 0.5 for x, p in zip(parts, layout.exps)):
         return None
     return parts, lambda: jacobian(z)
-
-
-def polish(A, layout, grade, blocks, config):
-    """Gauss-Newton correction of ``blocks``, graded; None unless it converges."""
-    value = multilinear_eval(A, [blocks[s] for s in layout.slots])
-    corrected = _correct(A, layout, blocks, value, config)
-    if corrected is None:
-        return None
-    pair = grade(A, layout, corrected[0])
-    return pair if pair.residual <= config.tol else None
 
 
 def snap(A, layout, grade, pair, config):
@@ -179,20 +152,6 @@ def snap(A, layout, grade, pair, config):
     return pair
 
 
-def settle(A, layout, grade, blocks, config):
-    """Polish ``blocks`` (graded as they are if that fails); snap if converged.
-
-    The corrector always runs, so flat-direction junk of size ~sqrt(tol)
-    near degenerate pairs cannot survive into dedup.
-    """
-    pair = polish(A, layout, grade, blocks, config)
-    if pair is None:
-        pair = grade(A, layout, blocks)
-    if pair.residual <= config.tol:
-        pair = snap(A, layout, grade, pair, config)
-    return pair
-
-
 def dedup(pairs, order):
     """One pair per sign orbit within ``_orbit.DEDUP_TOL``, by value descending.
 
@@ -208,20 +167,14 @@ def dedup(pairs, order):
     return kept
 
 
-def collect(A, layout, grade, ascend, config):
-    """Run every restart; return ``(pairs, best, e)`` on A_hat = A * 2**-e.
+def keep_rows(mask, *arrays):
+    """Each array's rows where ``mask`` holds; a None stays None."""
+    return [None if a is None else a[mask] for a in arrays]
 
-    ``pairs`` are the distinct converged candidates, ``best`` the ascent
-    result of least residual (None if every ascent was degenerate).
-    ``grade(A, layout, blocks)`` returns a ``Candidate``;
-    ``ascend(A, layout, blocks, config)`` returns blocks or raises
-    ``DegenerateIterateError``, which is re-raised only when no restart
-    produced anything.
-    """
-    A, e = unit_scale(A)
-    dims = layout.block_dims(A.dims)
-    found = []
-    best = degenerate = None
+
+def draw_starts(layout, dims, config):
+    """Every restart's random unit start, stacked: one (restarts, d_b) array per block."""
+    rows = []
     for r in range(config.restarts):
         rng = restart_rng(config, r)
         start = []
@@ -230,19 +183,55 @@ def collect(A, layout, grade, ascend, config):
             while lp_norm(g, p) < 1e-8:
                 g = rng.standard_normal(d)
             start.append(unit_vector(g, p))
-        polished = polish(A, layout, grade, start, config)
-        if polished is not None:
-            found.append(snap(A, layout, grade, polished, config))
-        try:
-            blocks = ascend(A, layout, start, config)
-        except DegenerateIterateError as exc:
-            degenerate = exc
-            continue
-        pair = settle(A, layout, grade, blocks, config)
+        rows.append(start)
+    return [np.array(block) for block in zip(*rows)]
+
+
+def restart_pairs(A, layout, grade, ascend, starts, config):
+    """Run the seeds ``starts`` (one (N, d_b) array per block) on A as one batch.
+
+    Returns ``(found, ends, errors)``.  ``found[r]`` lists seed r's
+    converged pairs, snapped: its start polished, then its ascent result
+    polished (graded as it is if the polish fails).  ``ends[r]`` is seed
+    r's ascent result, converged or not, or None if its ascent was
+    degenerate.  ``ascend(A, layout, starts, config)`` returns the ascent
+    results stacked like ``starts`` and a dict from each degenerate seed
+    to its ``DegenerateIterateError``; ``errors`` is that dict.
+    """
+    n = starts[0].shape[0]
+    ascended, errors = ascend(A, layout, starts, config)
+    ok = [r for r in range(n) if r not in errors]
+    batch = [np.concatenate([S, X[ok]]) for S, X in zip(starts, ascended)]
+    polished = _polish_rows(_System(A, layout), A, grade, batch, config)
+    found = [[] for _ in range(n)]
+    ends = [None] * n
+    for r, pair in enumerate(polished[:n]):
+        if pair is not None:
+            found[r].append(snap(A, layout, grade, pair, config))
+    for r, pair in zip(ok, polished[n:]):
+        if pair is None:
+            pair = grade(A, layout, [X[r] for X in ascended])
         if pair.residual <= config.tol:
-            found.append(pair)
-        if best is None or pair.residual < best.residual:
-            best = pair
-    if best is None and not found:
-        raise degenerate
-    return dedup(found, len(layout.slots)), best, e
+            pair = snap(A, layout, grade, pair, config)
+            found[r].append(pair)
+        ends[r] = pair
+    return found, ends, errors
+
+
+def collect(A, layout, grade, ascend, config):
+    """Run every restart; return ``(pairs, best, e)`` on A_hat = A * 2**-e.
+
+    ``pairs`` are the distinct converged candidates, ``best`` the ascent
+    result of least residual (None if every ascent was degenerate).
+    ``grade(A, layout, blocks)`` returns a ``Candidate``; for ``ascend``
+    see ``restart_pairs``.  A degenerate ascent's error is re-raised only
+    when no restart produced anything.
+    """
+    A, e = unit_scale(A)
+    starts = draw_starts(layout, layout.block_dims(A.dims), config)
+    found, ends, errors = restart_pairs(A, layout, grade, ascend, starts, config)
+    pairs = [pair for seed in found for pair in seed]
+    best = min((pair for pair in ends if pair is not None), key=lambda c: c.residual, default=None)
+    if best is None and not pairs:
+        raise errors[max(errors)]
+    return dedup(pairs, len(layout.slots)), best, e

@@ -12,14 +12,15 @@ puts the identity in slot i and the *same* vector in every other slot.
 (The defining equations are read per mode, each self-consistent in one
 vector; no coupled multi-vector variant is implemented.)
 
-Pairs come from the restart pipeline in ``_polish``, with the one vector
-in every slot (``slots = (0,) * k``, ``rows = (mode,)``); there is no
-deflation.  This module adds the leading-positive sign convention and the
-ascent, a damped fixed-point iteration that is fast on extremal pairs,
-while the pipeline's Gauss-Newton corrector also reaches interior pairs:
-saddle points of the constrained form, invisible to any monotone
-iteration.  Lambda and ``residual`` are reported on A; ``tol`` bounds the
-residual relative to the power-of-two scale of A (``SolverConfig``).
+Pairs come from the batched restart engine in ``_polish``, with the one
+vector in every slot (``slots = (0,) * k``, ``rows = (mode,)``); there is
+no deflation.  This module adds the leading-positive sign convention and
+the ascent, a damped fixed-point iteration run for every restart at
+once.  It is fast on extremal pairs, while the engine's damped
+Gauss-Newton corrector also reaches interior pairs: saddle points of the
+constrained form, invisible to any monotone iteration.  Lambda and
+``residual`` are reported on A; ``tol`` bounds the residual relative to
+the power-of-two scale of A (``SolverConfig``).
 """
 
 import math
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._orbit import leading_signs
-from ._polish import Candidate, collect
+from ._polish import Candidate, collect, keep_rows
+from ._system import _contract_batched, _renormalize_rows, _spow
 from .config import SolverConfig, _stagnated
 from .core import Layout, _check_mode, homogeneous_eval, is_symmetric, partial_contraction
 from .errors import ConvergenceWarning, DimensionError, SymmetryError, ZeroTensorError
@@ -91,46 +93,56 @@ def _grade(A, layout, blocks):
     return Candidate([x], lam, eigen_residual(A, x, lam, p, mode))
 
 
-def _fixed_point_run(A, layout, start, config):
-    """Damped fixed-point iteration from one start; best iterate wins."""
-    p, mode = layout.exps[0], layout.rows[0]
-    k = A.order
-    x = start[0].copy()
-    best_x, best_res = x.copy(), np.inf
-    damped = False
-    prev, prev2 = None, None
+def _ascend(A, layout, starts, config):
+    """Damped fixed-point iteration from N stacked starts; per seed its best vector.
+
+    A seed starts undamped and switches to half steps once its iterates
+    oscillate between two points.  It stops once converged, stagnated
+    (``config._stagnated``), out of ``max_iter``, or at an exactly zero
+    damped step.  A seed whose contraction is exactly zero is an exact
+    lambda = 0 eigenpair and ends there.  No seed is degenerate; returns
+    ``(blocks, {})`` as ``_polish.restart_pairs`` expects.
+    """
+    arr, p, mode, k = A.array, layout.exps[0], layout.rows[0], len(layout.slots)
+    X = starts[0].copy()
+    best, best_res = X.copy(), np.full(X.shape[0], np.inf)
+    live = np.arange(X.shape[0])
+    damped = np.zeros(X.shape[0], dtype=bool)
+    prev = prev2 = None
+    g = _contract_batched(arr, [X] * k, (mode,))
     trail = []
     for _ in range(config.max_iter):
-        g = partial_contraction(A, [x] * k, mode)
-        if not g.any():
-            # annihilated direction: x is an exact lambda = 0 eigenpair
-            return [x]
-        update = unit_vector(sign_root(g, p - 1), p)
-        if damped:
-            step = x + _DAMPING * (update - x)
-            if not step.any():
-                break
-            x_new = unit_vector(step, p)
-        else:
-            x_new = update
-        if prev2 is not None and not damped:
-            move = np.linalg.norm(x_new - x)
-            back = np.linalg.norm(x_new - prev2)
-            if move > 1e-14 and back < _OSCILLATION_RATIO * move:
-                damped = True
-        prev2, prev = prev, x
-        x = x_new
-        lam = homogeneous_eval(A, x)
-        res = eigen_residual(A, x, lam, p, mode)
-        if res < best_res:
-            best_res = res
-            best_x = x.copy()
-        if res <= config.tol:
+        # an annihilated direction: the vector is an exact lambda = 0 eigenpair
+        zero = ~g.any(axis=1)
+        if zero.any():
+            best[live[zero]] = X[zero]
+            live, X, g, damped, prev, prev2 = keep_rows(~zero, live, X, g, damped, prev, prev2)
+        X_new = _renormalize_rows(sign_root(g, p - 1), p)
+        stop = np.zeros(live.size, dtype=bool)
+        if damped.any():
+            step = X[damped] + _DAMPING * (X_new[damped] - X[damped])
+            moved = step.any(axis=1)
+            # a seed whose damped step is exactly zero stops at its best
+            # iterate; the zero step itself is never normalized
+            stop[damped] = ~moved
+            X_new[damped] = _renormalize_rows(np.where(moved[:, None], step, X[damped]), p)
+        if prev2 is not None:
+            move = np.linalg.norm(X_new - X, axis=1)
+            back = np.linalg.norm(X_new - prev2, axis=1)
+            damped |= (move > 1e-14) & (back < _OSCILLATION_RATIO * move)
+        prev2, prev, X = prev, X, X_new
+        g = _contract_batched(arr, [X] * k, (mode,))
+        lam = np.einsum("zd,zd->z", g, X)
+        res = np.linalg.norm(g - lam[:, None] * _spow(X, p - 1), axis=1)
+        improved = ~stop & (res < best_res[live])
+        best_res[live[improved]] = res[improved]
+        best[live[improved]] = X[improved]
+        trail.append(best_res.copy())
+        stop |= (res <= config.tol) | _stagnated(trail)[live]
+        live, X, g, damped, prev, prev2 = keep_rows(~stop, live, X, g, damped, prev, prev2)
+        if not live.size:
             break
-        trail.append(best_res)
-        if _stagnated(trail):
-            break
-    return [best_x]
+    return [best], {}
 
 
 def _collect(A, p, mode, config):
@@ -139,7 +151,7 @@ def _collect(A, p, mode, config):
         raise ZeroTensorError("eigenpairs of the zero tensor are undefined")
     config = config or SolverConfig()
     pn = PNormSpec((p,))
-    found, _, e = collect(A, Layout.eigen(pn[0], A.order, mode), _grade, _fixed_point_run, config)
+    found, _, e = collect(A, Layout.eigen(pn[0], A.order, mode), _grade, _ascend, config)
     if not found:
         warnings.warn(
             f"none of {config.restarts} restarts converged to tol={config.tol:g}",

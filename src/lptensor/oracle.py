@@ -1,8 +1,6 @@
 """Brute-force verification machinery.
 
-Three oracles live here to cross-check the solver modules.  The grid
-oracle has its own seeding, batched system and polish, so it checks the
-solvers rather than rerunning them:
+Three oracles live here to cross-check the solver modules.
 
 * ``enumerate_critical_points`` seeds a dense angular grid on the product
   of unit spheres and polishes every seed with a damped Gauss-Newton
@@ -10,12 +8,20 @@ solvers rather than rerunning them:
   system, batched over chunks of 20,000 seeds.  Singular tuples and
   eigenpairs are one problem here: a ``core.Layout`` says how the unit
   vectors fill the tensor's slots, and one batched system and one polish
-  serve both kinds.  Critical points come in sign orbits (flipped mode
-  vectors, a negated eigenvector), so at even resolution each sphere grid
-  keeps one point of every antipodal pair.  The sign canonicalization and
-  the dedup are ``_orbit``'s, the same the solvers use.
+  (``_system``) serve both kinds.  Critical points come in sign orbits
+  (flipped mode vectors, a negated eigenvector), so at even resolution
+  each sphere grid keeps one point of every antipodal pair.  The sign
+  canonicalization and the dedup are ``_orbit``'s.
   Any critical point whose sign orbit's basin meets the grid shows up;
-  completeness is checked by cross-tests, not proven.
+  completeness is checked by cross-tests, not proven.  The restart
+  solvers run on the same system, polish and dedup, and differ only in
+  their seeds (random starts and an ascent instead of a grid), so this
+  oracle checks their search, not their arithmetic.  The checks that
+  share no code with the solvers are ``perfbench/verify.py``, the
+  pairwise-distinctness test ``tests/test_dedup.py``, and the planned
+  certified bracket, interval certificates, branch-and-prune eigenpairs
+  and boundary-format hyperdeterminants (ROADMAP directions 5, 13, 14
+  and 18).
 * ``dense_baseline_svd`` / ``dense_baseline_symeig`` are from-scratch
   Jacobi decompositions used as the order-2 ground truth.
 * ``hyperdet_222`` is Cayley's quartic for 2x2x2 tensors, whose vanishing
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._orbit import canonicalize, greedy_dedup
+from ._system import _contract_batched, _levenberg_polish, _renormalize_rows, _System
 from .core import DenseTensor, Layout, _check_mode, multilinear_eval
 from .eigen import eigen_residual
 from .errors import (
@@ -49,7 +56,6 @@ __all__ = [
     "dense_baseline_symeig",
 ]
 
-_LETTERS = "abcdefgh"
 _SEED_BUDGET = 10_000_000
 _SEED_CHUNK = 20_000
 _ORACLE_TOL = 1e-9
@@ -64,135 +70,6 @@ class CriticalPoint:
     value: float
     kind: str
     residual: float
-
-
-# ---------------------------------------------------------------------------
-# batched helpers (seeds stacked along a leading axis z)
-
-
-def _spow(X, q):
-    return np.sign(X) * np.abs(X) ** q
-
-
-def _spow_deriv(X, q):
-    if q > 1:
-        return q * np.abs(X) ** (q - 1)
-    return np.ones_like(X)
-
-
-def _contract_batched(arr, Xs, free=()):
-    """Contract every slot of ``arr`` but ``free`` with its row of ``Xs``, per seed."""
-    others = [m for m in range(arr.ndim) if m not in free]
-    if not others:
-        # an order-2 pair: both slots free, the same matrix for every seed
-        base = arr if free[0] < free[1] else arr.T
-        return np.broadcast_to(base, (Xs[free[0]].shape[0],) + base.shape)
-    subs = [_LETTERS[:arr.ndim]] + ["z" + _LETTERS[m] for m in others]
-    out = "z" + "".join(_LETTERS[m] for m in free)
-    return np.einsum(
-        ",".join(subs) + "->" + out, arr, *[Xs[m] for m in others], optimize=False
-    )
-
-
-class _System:
-    """Batched residual/Jacobian of the stationarity + normalization system.
-
-    Unknowns are the blocks of ``layout``, concatenated, then the value.
-    Block b's equations contract slot ``rows[b]``, with slot j filled by
-    block ``slots[j]``; each block adds its normalization equation.
-    """
-
-    def __init__(self, A, layout):
-        self.arr = A.array
-        self.layout = layout
-        self.dims = layout.block_dims(A.dims)
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
-
-    def split(self, Z):
-        off = self.offsets
-        return [Z[:, off[b]:off[b + 1]] for b in range(len(self.dims))], Z[:, -1]
-
-    def residual(self, Z):
-        Xs, lam = self.split(Z)
-        args = [Xs[s] for s in self.layout.slots]
-        blocks = []
-        for b, i in enumerate(self.layout.rows):
-            g = _contract_batched(self.arr, args, (i,))
-            blocks.append(g - lam[:, None] * _spow(Xs[b], self.layout.exps[b] - 1))
-        for X, p in zip(Xs, self.layout.exps):
-            blocks.append((np.sum(np.abs(X) ** p, axis=1) - 1.0)[:, None])
-        return np.concatenate(blocks, axis=1)
-
-    def jacobian(self, Z):
-        Xs, lam = self.split(Z)
-        exps, slots = self.layout.exps, self.layout.slots
-        args = [Xs[s] for s in slots]
-        off, N = self.offsets, Z.shape[0]
-        J = np.zeros((N, off[-1] + len(self.dims), off[-1] + 1))
-        for b, i in enumerate(self.layout.rows):
-            own = slice(off[b], off[b + 1])
-            diag = np.arange(self.dims[b])
-            q = exps[b] - 1
-            # a block in other slots too (the eigen kind) sums its own-block
-            # terms in a zeroed temporary: += into strided J slices is slower
-            D = np.zeros((N, self.dims[b], self.dims[b])) if slots.count(b) > 1 else None
-            for j, c in enumerate(slots):
-                if j == i:
-                    continue
-                pair = _contract_batched(self.arr, args, (i, j))
-                if c == b:
-                    D += pair
-                else:
-                    J[:, own, off[c]:off[c + 1]] = pair
-            if D is None:
-                J[:, off[b] + diag, off[b] + diag] = -lam[:, None] * _spow_deriv(Xs[b], q)
-            else:
-                D[:, diag, diag] -= lam[:, None] * _spow_deriv(Xs[b], q)
-                J[:, own, own] = D
-            J[:, own, -1] = -_spow(Xs[b], q)
-            J[:, off[-1] + b, own] = exps[b] * _spow(Xs[b], q)
-        return J
-
-
-def _levenberg_polish(system, Z0, iters=80):
-    """Batched damped Gauss-Newton; accepted steps never raise the cost.
-
-    Seeds leave the active set once they converge (cost below 1e-26) or
-    stall (damping at its cap), so late iterations only touch stragglers.
-    """
-    Z = Z0.copy()
-    F = system.residual(Z)
-    cost = np.einsum("ze,ze->z", F, F)
-    nvar = Z.shape[1]
-    mu = np.full(Z.shape[0], 1e-4)
-    eye = np.eye(nvar)
-    live = np.flatnonzero(cost > 1e-26)
-    for _ in range(iters):
-        if live.size == 0:
-            break
-        Zl, Fl, mul = Z[live], F[live], mu[live]
-        J = system.jacobian(Zl)
-        grad = np.einsum("zev,ze->zv", J, Fl)
-        H = np.einsum("zev,zew->zvw", J, J)
-        lhs = H + mul[:, None, None] * eye
-        try:
-            step = -np.linalg.solve(lhs, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            mu[live] = np.minimum(mul * 10.0, 1e12)
-            continue
-        Zt = Zl + step
-        Ft = system.residual(Zt)
-        cost_t = np.einsum("ze,ze->z", Ft, Ft)
-        better = np.isfinite(cost_t) & (cost_t < cost[live])
-        hit = live[better]
-        Z[hit] = Zt[better]
-        F[hit] = Ft[better]
-        cost[hit] = cost_t[better]
-        mu[live] = np.where(
-            better, np.maximum(mul * 0.33, 1e-14), np.minimum(mul * 10.0, 1e12)
-        )
-        live = live[(cost[live] > 1e-26) & (mu[live] < 1e11)]
-    return Z, cost
 
 
 def _full_sphere_grid(d, resolution, p):
@@ -233,11 +110,6 @@ def _sphere_grid(d, resolution, p):
     return pts
 
 
-def _renormalize_rows(X, p):
-    norms = np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p)
-    return X / norms[:, None]
-
-
 def enumerate_critical_points(A, pnorms=2, kind="singular", resolution=40, mode=0):
     """Grid-seeded polish of the full stationarity system.
 
@@ -258,9 +130,9 @@ def enumerate_critical_points(A, pnorms=2, kind="singular", resolution=40, mode=
     per antipodal pair), and one of dimension 1 contributes one.  The
     seed count is their product (capped at 1e7); seeds are polished in
     chunks of 20,000, and every Levenberg sweep over N live seeds costs
-    O(N * (sum d_i)^2) flops plus one batched solve of that size.  A
-    batched solve that fails raises the damping of every live seed in its
-    chunk, so above 20,000 seeds the points can depend on the chunking.
+    O(N * (sum d_i)^2) flops plus one batched solve of that size.  Each
+    seed is polished from its own data alone, so the points do not depend
+    on the chunking.
     Results are guaranteed to contain any critical point whose sign
     orbit's polishing basin intersects the grid (flipping a set S of
     singular mode vectors maps sigma to (-1)**|S| sigma; negating an

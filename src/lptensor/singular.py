@@ -7,15 +7,16 @@ each mode i.  For matrices with p = (2, 2) this reduces to the ordinary
 singular value decomposition conditions ``A v = sigma u`` and
 ``A^T u = sigma v``.
 
-Pairs come from the restart pipeline in ``_polish``, with one block per
-mode (``slots = rows = (0, ..., k-1)``).  This module adds the sigma >= 0
-convention and the ascent: cyclic alternating updates, each solving one
-mode's stationarity exactly given the others, which converge fast to
-extremal pairs, while the pipeline's Gauss-Newton corrector also lands on
-non-extremal pairs that no monotone iteration can reach.  Convergence is
-declared on the residual, never on iterate movement.  Sigma and
-``residual`` are reported on A; ``tol`` bounds the residual relative to
-the power-of-two scale of A (``SolverConfig``).
+Pairs come from the batched restart engine in ``_polish``, with one
+block per mode (``slots = rows = (0, ..., k-1)``).  This module adds the
+sigma >= 0 convention and the ascent: cyclic alternating updates, each
+solving one mode's stationarity exactly given the others, run for every
+restart at once.  They converge fast to extremal pairs, while the
+engine's damped Gauss-Newton corrector also lands on non-extremal pairs
+that no monotone iteration can reach.  Convergence is declared on the
+residual, never on iterate movement.  Sigma and ``residual`` are
+reported on A; ``tol`` bounds the residual relative to the power-of-two
+scale of A (``SolverConfig``).
 """
 
 import math
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._polish import Candidate, collect, settle
+from ._polish import Candidate, collect, keep_rows, restart_pairs
 from ._restart import unit_scale
+from ._system import _contract_batched, _renormalize_rows, _spow
 from .config import SolverConfig, _stagnated
 from .core import Layout, multilinear_eval, partial_contraction
 from .errors import ConvergenceWarning, DegenerateIterateError, ZeroTensorError
@@ -88,36 +90,71 @@ def _grade(A, layout, blocks):
     return Candidate(vecs, sigma, singular_residual(A, vecs, sigma, pn))
 
 
-def _alternating_run(A, layout, start, config):
-    """Cyclic alternating updates from one start; returns best iterate."""
-    pn = layout.exps
-    k = A.order
-    xs = [v.copy() for v in start]
-    best_xs, best_res = None, np.inf
+def _defect(arr, Xs, exps, g_last):
+    """Per row, the worst-mode stationarity defect; and mode 0's contraction.
+
+    ``g_last`` is the last mode's contraction at ``Xs``, which the sweep
+    that made ``Xs`` computed already.
+    """
+    k = len(exps)
+    gs = [_contract_batched(arr, Xs, (i,)) for i in range(k - 1)] + [g_last]
+    sigma = np.einsum("zd,zd->z", gs[-1], Xs[-1])
+    # np.max keeps a NaN defect (a NaN or infinite input) as NaN
+    defects = [
+        np.linalg.norm(g - sigma[:, None] * _spow(X, p - 1), axis=1)
+        for g, X, p in zip(gs, Xs, exps)
+    ]
+    return np.max(defects, axis=0), gs[0]
+
+
+def _ascend(A, layout, starts, config):
+    """Cyclic alternating updates from N stacked starts; per seed its best tuple.
+
+    Each mode update solves that mode's stationarity exactly given the
+    other vectors.  A seed stops once converged, stagnated
+    (``config._stagnated``) or out of ``max_iter``.  A seed whose update
+    in some mode is exactly zero stops there: it ends as it is if its
+    tuple is a sigma = 0 pair already, and is degenerate otherwise.
+    Returns ``(blocks, errors)`` as ``_polish.restart_pairs`` expects.
+    """
+    arr, exps = A.array, layout.exps
+    best = [X.copy() for X in starts]
+    best_res = np.full(starts[0].shape[0], np.inf)
+    errors = {}
+    live = np.arange(best_res.size)
+    Xs = [X.copy() for X in starts]
+    g = _contract_batched(arr, Xs, (0,))
     trail = []
     for _ in range(config.max_iter):
-        for i in range(k):
-            g = partial_contraction(A, xs, i)
-            if not g.any():
+        for i, p in enumerate(exps):
+            if i:
+                g = _contract_batched(arr, Xs, (i,))
+            zero = ~g.any(axis=1)
+            if zero.any():
                 # the current tuple may itself be a sigma = 0 pair
-                sigma = multilinear_eval(A, xs)
-                if singular_residual(A, xs, sigma, pn) <= config.tol:
-                    return [x.copy() for x in xs]
-                raise DegenerateIterateError(
-                    f"mode {i + 1}: exactly zero update direction"
-                )
-            xs[i] = unit_vector(sign_root(g, pn[i] - 1), pn[i])
-        sigma = multilinear_eval(A, xs)
-        res = singular_residual(A, xs, sigma, pn)
-        if res < best_res:
-            best_res = res
-            best_xs = [x.copy() for x in xs]
-        if res <= config.tol:
+                stuck = [X[zero] for X in Xs]
+                res, _ = _defect(arr, stuck, exps, _contract_batched(arr, stuck, (len(exps) - 1,)))
+                for j, r in enumerate(live[zero].tolist()):
+                    if res[j] <= config.tol:
+                        for B, X in zip(best, stuck):
+                            B[r] = X[j]
+                    else:
+                        errors[r] = DegenerateIterateError(
+                            f"mode {i + 1}: exactly zero update direction"
+                        )
+                live, g, *Xs = keep_rows(~zero, live, g, *Xs)
+            Xs[i] = _renormalize_rows(sign_root(g, p - 1), p)
+        res, g = _defect(arr, Xs, exps, g)
+        improved = res < best_res[live]
+        best_res[live[improved]] = res[improved]
+        for B, X in zip(best, Xs):
+            B[live[improved]] = X[improved]
+        trail.append(best_res.copy())
+        stop = (res <= config.tol) | _stagnated(trail)[live]
+        live, g, *Xs = keep_rows(~stop, live, g, *Xs)
+        if not live.size:
             break
-        trail.append(best_res)
-        if _stagnated(trail):
-            break
-    return best_xs
+    return best, errors
 
 
 def _pair(candidate, pn, e, tol):
@@ -137,7 +174,7 @@ def _collect(A, pnorms, config):
         raise ZeroTensorError("singular pairs of the zero tensor are undefined")
     pn = PNormSpec.broadcast(pnorms, A.order)
     config = config or SolverConfig()
-    found, best, e = collect(A, Layout.singular(pn), _grade, _alternating_run, config)
+    found, best, e = collect(A, Layout.singular(pn), _grade, _ascend, config)
     deduped = [_pair(pair, pn, e, config.tol) for pair in found]
     return deduped, None if best is None else _pair(best, pn, e, config.tol)
 
@@ -166,9 +203,9 @@ def solve_singular_pairs(A, pnorms=2, config=None):
 def solve_singular_pair(A, pnorms=2, config=None, init=None):
     """One singular pair of ``A``.
 
-    With ``init`` the solver runs only from that tuple (alternating
-    updates plus a Gauss-Newton finish), on the unit-scaled tensor like
-    the restarts.  Otherwise it runs the full restart schedule and returns
+    With ``init`` the solver runs only from that tuple, as a batch of one
+    on the unit-scaled tensor like the restarts, and returns its ascent's
+    result (alternating updates plus a damped Gauss-Newton finish).  Otherwise it runs the full restart schedule and returns
     the converged pair with the largest sigma, or, failing convergence
     everywhere, the best iterate seen with ``converged=False``.
     """
@@ -178,10 +215,11 @@ def solve_singular_pair(A, pnorms=2, config=None, init=None):
         if A.is_zero():
             raise ZeroTensorError("singular pairs of the zero tensor are undefined")
         A, e = unit_scale(A)
-        start = [unit_vector(np.asarray(v, dtype=float), pn[i]) for i, v in enumerate(init)]
-        layout = Layout.singular(pn)
-        xs = _alternating_run(A, layout, start, config)
-        return _pair(settle(A, layout, _grade, xs, config), pn, e, config.tol)
+        start = [unit_vector(np.asarray(v, dtype=float), pn[i])[None] for i, v in enumerate(init)]
+        _, ends, errors = restart_pairs(A, Layout.singular(pn), _grade, _ascend, start, config)
+        if errors:
+            raise errors[0]
+        return _pair(ends[0], pn, e, config.tol)
     deduped, best = _collect(A, pnorms, config)
     if deduped:
         return deduped[0]

@@ -8,7 +8,7 @@ match these forms byte for byte.  Validation is left out here; the tests
 check it on the library functions.
 
 The grid oracle's batched singular and eigen systems are kept here too,
-as they were before one layout-driven class (``oracle._System``) replaced
+as they were before one layout-driven class (``_system._System``) replaced
 both; its residual and Jacobian must match them byte for byte.
 
 So are the sign-orbit rules as the solvers and the grid oracle each wrote

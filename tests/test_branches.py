@@ -1,16 +1,19 @@
 """Planted inputs for algorithm branches that no other test reaches.
 
 Each input drives one branch: an alternating update that is exactly zero,
-a start that the tensor annihilates, a batched solve that is singular,
-and a restart run in which every ascent is degenerate and nothing
-polishes.
+a start that the tensor annihilates, a batched solve that is singular in
+every row or in one row, and a restart run in which every ascent is
+degenerate and nothing polishes.  The ascents run on stacked seeds, so
+each planted seed shares its batch with an ordinary one where that can
+show that the branch stays per seed.
 """
 
 import numpy as np
 import pytest
 
-from lptensor import DenseTensor, SolverConfig, eigen, oracle, solve_singular_pair
+from lptensor import DenseTensor, SolverConfig, eigen, singular, solve_singular_pair
 from lptensor._polish import Candidate, collect
+from lptensor._system import _levenberg_polish
 from lptensor.core import Layout
 from lptensor.errors import DegenerateIterateError
 
@@ -29,11 +32,27 @@ def test_exactly_zero_alternating_update_raises():
         solve_singular_pair(corner(), 2, init=[[0.6, 0.8], [0.0, 1.0], [0.6, 0.8]])
 
 
+def test_exactly_zero_update_fails_only_its_own_seed():
+    starts = [np.array([[0.6, 0.8], [0.6, 0.8]]), np.array([[0.0, 1.0], [0.8, 0.6]]),
+              np.array([[0.6, 0.8], [0.6, 0.8]])]
+    (X, Y, W), errors = singular._ascend(corner(), Layout.singular((2, 2, 2)), starts, SolverConfig())
+    assert list(errors) == [0]
+    assert "mode 1: exactly zero update" in str(errors[0])
+    # the other seed ascends to the one nonzero pair, e0 in every mode
+    assert np.abs(np.abs(np.array([X[1], Y[1], W[1]])) - [1.0, 0.0]).max() <= 1e-12
+
+
 def test_annihilated_start_is_returned_as_an_exact_eigenvector():
     start = [np.array([0.0, 1.0])]
-    (x,) = eigen._fixed_point_run(corner(), Layout.eigen(2, 3, 0), start, SolverConfig())
+    ordinary = np.array([0.6, 0.8])
+    (X,), errors = eigen._ascend(
+        corner(), Layout.eigen(2, 3, 0), [np.stack([start[0], ordinary])], SolverConfig()
+    )
+    x = X[0]
+    assert errors == {}
     assert x.tobytes() == start[0].tobytes()
     assert eigen.eigen_residual(corner(), x, 0.0, 2) == 0.0
+    assert X[1].tobytes() != ordinary.tobytes()
 
 
 class RankOneSystem:
@@ -53,20 +72,50 @@ class RankOneSystem:
 def test_singular_batched_solve_damps_and_leaves_seeds_unmoved():
     Z0 = np.arange(6.0).reshape(3, 2)
     system = RankOneSystem()
-    Z, cost = oracle._levenberg_polish(system, Z0, iters=1)
+    Z, cost = _levenberg_polish(system, Z0, iters=1)
     # the solve failed, so no trial step was evaluated
     assert system.residual_calls == 1
     assert Z.tobytes() == Z0.tobytes() and cost.tolist() == [1.0, 1.0, 1.0]
-    Z, _ = oracle._levenberg_polish(RankOneSystem(), Z0)
+    Z, _ = _levenberg_polish(RankOneSystem(), Z0)
     assert Z.tobytes() == Z0.tobytes()
+
+
+class MixedSystem:
+    """Residual z0 + z1, scaled by 1e20 in rows with z0 >= 1000.
+
+    In those rows J^T J + mu I rounds to an exactly singular matrix at any
+    damping mu up to its cap; in the others it is regular, and the root
+    z0 + z1 = 0 is a few steps away.
+    """
+
+    def scale(self, Z):
+        return np.where(Z[:, :1] >= 1000.0, 1e20, 1.0)
+
+    def residual(self, Z):
+        return self.scale(Z) * (Z[:, :1] + Z[:, 1:])
+
+    def jacobian(self, Z):
+        return np.broadcast_to(self.scale(Z)[:, :, None], (Z.shape[0], 1, 2)).copy()
+
+
+def test_singular_solve_in_one_row_leaves_the_other_rows_stepping():
+    Z0 = np.array([[1000.0, 2000.0], [1.0, 2.0]])
+    Z, cost = _levenberg_polish(MixedSystem(), Z0)
+    assert Z[0].tobytes() == Z0[0].tobytes()
+    assert Z[1].tobytes() != Z0[1].tobytes()
+    assert cost[1] <= 1e-26
+    # and exactly as it moves in a batch of its own
+    alone, _ = _levenberg_polish(MixedSystem(), Z0[1:])
+    assert Z[1].tobytes() == alone[0].tobytes()
 
 
 def test_collect_reraises_when_every_ascent_is_degenerate():
     def grade(A, layout, blocks):
         return Candidate(list(blocks), 0.0, np.inf)
 
-    def ascend(A, layout, blocks, config):
-        raise DegenerateIterateError("planted degenerate ascent")
+    def ascend(A, layout, starts, config):
+        n = starts[0].shape[0]
+        return starts, {r: DegenerateIterateError("planted degenerate ascent") for r in range(n)}
 
     A = DenseTensor.from_array(np.random.default_rng(190).standard_normal((2, 2, 2)))
     with pytest.raises(DegenerateIterateError, match="planted degenerate ascent"):
