@@ -7,8 +7,8 @@ has ``slots = rows = (0, ..., k-1)``, a mode-m eigenproblem
 ``slots = (0,) * k`` and ``rows = (m,)``.  ``collect`` runs every restart
 at once on A * 2**-e (``_restart.unit_scale``): it draws all the random
 starts, runs the solver's ascent on all of them as one batch, and
-polishes the starts and the ascent results as one batch more, with the
-grid oracle's system and damped Gauss-Newton (``_system``).  Converged
+polishes the starts and the ascent results, stacked, as one more batch
+with the grid oracle's system and damped Gauss-Newton (``_system``).  Converged
 pairs are then snapped onto exact supports one at a time and deduped up
 to sign orbits by ``_orbit``.  A solver supplies only ``grade`` (unit
 norms, its sign convention, its residual) and a batched ``ascend``.
@@ -81,12 +81,6 @@ def _corrector_tol(config):
     return min(config.tol * 1e-3, 1e-13)
 
 
-def _unit_blocks(Xs, exps):
-    """Per row, whether every block kept at least half of its unit norm."""
-    norms = [np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p) for X, p in zip(Xs, exps)]
-    return np.all([n >= 0.5 for n in norms], axis=0)
-
-
 def _polish_rows(system, A, grade, Xs, config):
     """Polish N stacked tuples ``Xs`` as one batch; per row the graded pair or None.
 
@@ -98,10 +92,12 @@ def _polish_rows(system, A, grade, Xs, config):
     Z0 = np.concatenate(list(Xs) + [value[:, None]], axis=1)
     Z, _ = _levenberg_polish(system, Z0, stop=_corrector_tol(config) ** 2)
     parts, _ = system.split(Z)
-    out = []
-    for r, kept in enumerate(_unit_blocks(parts, layout.exps)):
-        pair = grade(A, layout, [X[r] for X in parts]) if kept else None
-        out.append(pair if pair is not None and pair.residual <= config.tol else None)
+    norms = [np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p) for X, p in zip(parts, layout.exps)]
+    out = [None] * Z.shape[0]
+    for r in np.flatnonzero(np.all([n >= 0.5 for n in norms], axis=0)).tolist():
+        pair = grade(A, layout, [X[r] for X in parts])
+        if pair.residual <= config.tol:
+            out[r] = pair
     return out
 
 
@@ -192,7 +188,8 @@ def restart_pairs(A, layout, grade, ascend, starts, config):
 
     Returns ``(found, ends, errors)``.  ``found[r]`` lists seed r's
     converged pairs, snapped: its start polished, then its ascent result
-    polished (graded as it is if the polish fails).  ``ends[r]`` is seed
+    polished (graded as it is if the polish fails); both polishes run as
+    one stacked batch of up to 2N rows.  ``ends[r]`` is seed
     r's ascent result, converged or not, or None if its ascent was
     degenerate.  ``ascend(A, layout, starts, config)`` returns the ascent
     results stacked like ``starts`` and a dict from each degenerate seed
