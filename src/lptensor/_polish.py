@@ -4,16 +4,16 @@ Singular pairs and l^p eigenpairs are both critical points of one
 multilinear form on a product of unit l^p spheres, and a ``core.Layout``
 says how the unit vectors ("blocks") fill the tensor.  A singular problem
 has ``slots = rows = (0, ..., k-1)``, a mode-m eigenproblem
-``slots = (0,) * k`` and ``rows = (m,)``.  ``collect`` runs every restart
-at once on A * 2**-e (``_restart.unit_scale``): it draws all the random
-starts, runs the solver's ascent on all of them as one batch, and
+``slots = (0,) * k`` and ``rows = (m,)``.  ``collect`` runs every
+restart at once on A * 2**-e (``_restart.unit_scale``): it draws all the
+random starts, runs the solver's ascent on all of them as one batch, and
 polishes the starts and the ascent results, stacked, as one more batch
-with the grid oracle's system and damped Gauss-Newton (``_system``).  Converged
-pairs are then snapped onto exact supports one at a time and deduped up
-to sign orbits by ``_orbit``.  A solver supplies only ``grade`` (unit
-norms, its sign convention, its residual) and a batched ``ascend``.
-Every seed is computed from its own data alone, so a restart's pairs do
-not depend on the other restarts in its batch.
+with the grid oracle's system and damped Gauss-Newton (``_system``).
+Converged pairs are then snapped onto exact supports one at a time and
+deduped up to sign orbits by ``_orbit``.  A solver supplies only
+``grade`` (unit norms, its sign convention, its residual) and a batched
+``ascend``.  Every seed is computed from its own data alone, so a
+restart's pairs do not depend on the other restarts in its batch.
 """
 
 import math
@@ -189,11 +189,11 @@ def restart_pairs(A, layout, grade, ascend, starts, config):
     Returns ``(found, ends, errors)``.  ``found[r]`` lists seed r's
     converged pairs, snapped: its start polished, then its ascent result
     polished (graded as it is if the polish fails); both polishes run as
-    one stacked batch of up to 2N rows.  ``ends[r]`` is seed
-    r's ascent result, converged or not, or None if its ascent was
-    degenerate.  ``ascend(A, layout, starts, config)`` returns the ascent
-    results stacked like ``starts`` and a dict from each degenerate seed
-    to its ``DegenerateIterateError``; ``errors`` is that dict.
+    one stacked batch of up to 2N rows.  ``ends[r]`` is seed r's ascent
+    result, converged or not, or None if its ascent was degenerate.
+    ``ascend(A, layout, starts, config)`` returns the ascent results
+    stacked like ``starts`` and a dict from each degenerate seed to its
+    ``DegenerateIterateError``; ``errors`` is that dict.
     """
     n = starts[0].shape[0]
     ascended, errors = ascend(A, layout, starts, config)

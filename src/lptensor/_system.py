@@ -108,14 +108,19 @@ class _System:
 
 
 def _solve_each(lhs, rhs):
-    """``np.linalg.solve`` seed by seed; a seed whose matrix is singular gets NaN."""
+    """``np.linalg.solve`` seed by seed, NaN for a seed whose matrix is singular.
+
+    None when every seed's matrix is singular.
+    """
     out = np.full(rhs.shape, np.nan)
+    solved = False
     for r in range(lhs.shape[0]):
         try:
             out[r] = np.linalg.solve(lhs[r], rhs[r])
+            solved = True
         except np.linalg.LinAlgError:
             pass
-    return out
+    return out if solved else None
 
 
 def _levenberg_polish(system, Z0, iters=80, stop=1e-26):
@@ -142,13 +147,13 @@ def _levenberg_polish(system, Z0, iters=80, stop=1e-26):
         H = np.einsum("zev,zew->zvw", J, J)
         lhs = H + mul[:, None, None] * eye
         try:
-            step = -np.linalg.solve(lhs, grad[..., None])[..., 0]
+            step = np.linalg.solve(lhs, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = -_solve_each(lhs, grad)
+            step = _solve_each(lhs, grad)
         better = np.zeros(live.size, dtype=bool)
-        if not np.isnan(step).all():
+        if step is not None:
             # a seed without a step (NaN) gets a NaN cost, never accepted
-            Zt = Zl + step
+            Zt = Zl - step
             Ft = system.residual(Zt)
             cost_t = np.einsum("ze,ze->z", Ft, Ft)
             better = np.isfinite(cost_t) & (cost_t < cost[live])

@@ -205,9 +205,10 @@ def solve_singular_pair(A, pnorms=2, config=None, init=None):
 
     With ``init`` the solver runs only from that tuple, as a batch of one
     on the unit-scaled tensor like the restarts, and returns its ascent's
-    result (alternating updates plus a damped Gauss-Newton finish).  Otherwise it runs the full restart schedule and returns
-    the converged pair with the largest sigma, or, failing convergence
-    everywhere, the best iterate seen with ``converged=False``.
+    result (alternating updates plus a damped Gauss-Newton finish).
+    Otherwise it runs the full restart schedule and returns the converged
+    pair with the largest sigma, or, failing convergence everywhere, the
+    best iterate seen with ``converged=False``.
     """
     config = config or SolverConfig()
     pn = PNormSpec.broadcast(pnorms, A.order)

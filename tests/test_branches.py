@@ -33,13 +33,19 @@ def test_exactly_zero_alternating_update_raises():
 
 
 def test_exactly_zero_update_fails_only_its_own_seed():
-    starts = [np.array([[0.6, 0.8], [0.6, 0.8]]), np.array([[0.0, 1.0], [0.8, 0.6]]),
-              np.array([[0.6, 0.8], [0.6, 0.8]])]
-    (X, Y, W), errors = singular._ascend(corner(), Layout.singular((2, 2, 2)), starts, SolverConfig())
+    # seed 0 is the tuple above; seed 1 is ordinary; seed 2, (e1, e1, w),
+    # has a zero mode-1 update too, but is itself a sigma = 0 pair
+    starts = [np.array([[0.6, 0.8], [0.6, 0.8], [0.0, 1.0]]),
+              np.array([[0.0, 1.0], [0.8, 0.6], [0.0, 1.0]]),
+              np.array([[0.6, 0.8], [0.6, 0.8], [0.6, 0.8]])]
+    layout = Layout.singular((2, 2, 2))
+    (X, Y, W), errors = singular._ascend(corner(), layout, starts, SolverConfig())
     assert list(errors) == [0]
     assert "mode 1: exactly zero update" in str(errors[0])
-    # the other seed ascends to the one nonzero pair, e0 in every mode
+    # the ordinary seed ascends to the one nonzero pair, e0 in every mode
     assert np.abs(np.abs(np.array([X[1], Y[1], W[1]])) - [1.0, 0.0]).max() <= 1e-12
+    # the sigma = 0 pair ends exactly where it started
+    assert all(B[2].tobytes() == S[2].tobytes() for B, S in zip((X, Y, W), starts))
 
 
 def test_annihilated_start_is_returned_as_an_exact_eigenvector():
