@@ -56,9 +56,10 @@ def restart_rng(config, index):
 def _stagnated(trail):
     """True once the tracked defect ``trail`` fell by less than 0.1% in 50 steps.
 
-    The entries may be arrays, one defect per seed; the answer is then
-    per seed too.
+    The entries may be arrays, one defect per seed; the answer is then per
+    seed, or a plain False while the trail is shorter than the window.
     """
-    if len(trail) <= _STAGNATION_WINDOW:
-        return np.zeros_like(trail[-1], dtype=bool)
-    return trail[-1] > _STAGNATION_FACTOR * trail[-1 - _STAGNATION_WINDOW]
+    return (
+        len(trail) > _STAGNATION_WINDOW
+        and trail[-1] > _STAGNATION_FACTOR * trail[-1 - _STAGNATION_WINDOW]
+    )

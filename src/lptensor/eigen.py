@@ -107,6 +107,7 @@ def _ascend(A, layout, starts, config):
     X = starts[0].copy()
     best, best_res = X.copy(), np.full(X.shape[0], np.inf)
     live = np.arange(X.shape[0])
+    done = np.zeros(X.shape[0], dtype=bool)
     damped = np.zeros(X.shape[0], dtype=bool)
     prev = prev2 = None
     g = _contract_batched(arr, [X] * k, (mode,))
@@ -138,8 +139,11 @@ def _ascend(A, layout, starts, config):
         best_res[live[improved]] = res[improved]
         best[live[improved]] = X[improved]
         trail.append(best_res.copy())
-        stop |= (res <= config.tol) | _stagnated(trail)[live]
-        live, X, g, damped, prev, prev2 = keep_rows(~stop, live, X, g, damped, prev, prev2)
+        done[live[stop | (res <= config.tol)]] = True
+        done |= _stagnated(trail)
+        live, X, g, damped, prev, prev2 = keep_rows(
+            ~done[live], live, X, g, damped, prev, prev2
+        )
         if not live.size:
             break
     return [best], {}

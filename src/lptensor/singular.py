@@ -120,6 +120,7 @@ def _ascend(A, layout, starts, config):
     arr, exps = A.array, layout.exps
     best = [X.copy() for X in starts]
     best_res = np.full(starts[0].shape[0], np.inf)
+    done = np.zeros(best_res.size, dtype=bool)
     errors = {}
     live = np.arange(best_res.size)
     Xs = [X.copy() for X in starts]
@@ -150,8 +151,9 @@ def _ascend(A, layout, starts, config):
         for B, X in zip(best, Xs):
             B[live[improved]] = X[improved]
         trail.append(best_res.copy())
-        stop = (res <= config.tol) | _stagnated(trail)[live]
-        live, g, *Xs = keep_rows(~stop, live, g, *Xs)
+        done[live[res <= config.tol]] = True
+        done |= _stagnated(trail)
+        live, g, *Xs = keep_rows(~done[live], live, g, *Xs)
         if not live.size:
             break
     return best, errors
