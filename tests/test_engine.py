@@ -34,7 +34,7 @@ def tensor(seed, dims, symmetric=False):
     return symmetrize(t) if symmetric else t
 
 
-# (tensor, layout, grade, ascend)
+# (tensor, layout, solver module whose _grade and _ascend run)
 CASES = {
     "singular-3x3x3-p2": (
         lambda: tensor(400, (3, 3, 3)), Layout.singular((2, 2, 2)), singular),
@@ -49,9 +49,8 @@ CASES = {
 def candidate_bytes(pair):
     if pair is None:
         return None
-    return [x.tobytes() for x in pair.blocks], np.float64(pair.value).tobytes(), np.float64(
-        pair.residual
-    ).tobytes()
+    scalars = np.array([pair.value, pair.residual]).tobytes()
+    return [x.tobytes() for x in pair.blocks], scalars
 
 
 def run(label, restarts, rows=None):
@@ -63,9 +62,8 @@ def run(label, restarts, rows=None):
         starts = [S[rows] for S in starts]
     found, ends, errors = restart_pairs(A, layout, solver._grade, solver._ascend, starts, config)
     assert not errors
-    return starts, [[candidate_bytes(p) for p in seed] for seed in found], [
-        candidate_bytes(p) for p in ends
-    ]
+    found = [[candidate_bytes(p) for p in seed] for seed in found]
+    return starts, found, [candidate_bytes(p) for p in ends]
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
